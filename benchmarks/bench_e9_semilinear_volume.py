@@ -8,21 +8,26 @@ Reproduction: random semi-linear sets (unions of polytopes) in dimensions
 1-3 and FO + LIN query outputs over them.  Three computations must agree:
 the production slicing path, the dimension-2 literal transcription of the
 paper's proof, and floating-point Qhull on the convex cases.  Ablation A2:
-the slicing axis does not change the result (Fubini).
+the slicing axis does not change the result (Fubini).  E9d: union volume
+costs intersections of at most d cells, polynomial in the number of
+cells, where inclusion-exclusion needs all 2^n - n - 1.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.core import volume_2d_fo_poly_sum, volume_of_query, volume_of_relation
 from repro.db import FRInstance, Schema
 from repro.geometry import (
     convex_hull_volume_float,
     formula_to_cells,
+    formula_volume,
     polytope_volume,
 )
-from repro.logic import Relation, between, exists, variables
+from repro.logic import Relation, between, disjunction, exists, variables
 
 from conftest import print_table
 from obs_report import emit
@@ -31,8 +36,6 @@ x, y, z = variables("x y z")
 
 
 def random_union_2d(rng):
-    from repro.logic import disjunction
-
     parts = []
     for _ in range(int(rng.integers(1, 4))):
         x0, x1 = sorted(Fraction(int(v), 8) for v in rng.integers(0, 17, 2))
@@ -123,3 +126,29 @@ def test_e9_axis_ablation(rng, benchmark):
     print_table("E9c: slicing-axis ablation (Fubini)", header, rows)
     emit("E9c", header, rows)
     assert volume_xy == volume_yx
+
+
+def staircase(n):
+    """Boxes [0, n-i] x [i, i+2], i < n: every pair overlaps in x, and
+    neighbours overlap in area.  The union's area is n + n(n+1)/2."""
+    return disjunction(*(
+        between(0, x, n - i) & between(i, y, i + 2) for i in range(n)
+    ))
+
+
+def test_e9_union_size_sweep():
+    """E9d: exact union volume is polynomial, not exponential, in n."""
+    rows = []
+    for n in (4, 8, 16, 24):
+        before = obs.REGISTRY.value("volume.intersections") or 0
+        start = time.perf_counter()
+        area = formula_volume(staircase(n), ("x", "y"))
+        seconds = time.perf_counter() - start
+        tested = obs.REGISTRY.value("volume.intersections") - before
+        assert area == n + Fraction(n * (n + 1), 2)
+        assert tested <= n * (n - 1) // 2
+        rows.append([n, f"{seconds:.3f}", tested, 2 ** n - n - 1])
+    header = ["cells", "seconds", "volume.intersections",
+              "inclusion-exclusion intersections"]
+    print_table("E9d: union size sweep (2-D boxes)", header, rows)
+    emit("E9d", header, rows)

@@ -30,6 +30,7 @@ from typing import Sequence
 
 from ..db.evaluation import output_formula
 from ..geometry.decomposition import formula_to_cells, formula_volume
+from ..geometry.volume import union_volume
 from ..logic.builders import forall
 from ..logic.formulas import Formula, conjunction
 from ..logic.substitution import substitute
@@ -209,65 +210,12 @@ def volume_nd_fo_poly_sum(
     polynomial piece wherever the facial structure above the first
     coordinate changes — at first coordinates of vertices of intersections
     of up to d cells (pairwise crossings generalised).  The base case
-    d = 1 is the interval-measure summation term of
-    :func:`slice_measure_term`.
+    d = 1 is the measure of a finite union of intervals.  The induction is
+    the slab integrator behind :func:`repro.geometry.volume.union_volume`,
+    run on the cells of the query output.
     """
-    from itertools import combinations
-
-    from ..geometry.volume import lagrange_interpolate, integrate_upoly
-    from ..logic.substitution import substitute as _substitute
-
     variables = tuple(variables)
-    d = len(variables)
-    if d == 0:
+    if not variables:
         raise UnboundedSetError("volume needs at least one coordinate")
-
     output = output_formula(body, instance)
-
-    def recurse(formula: Formula, names: tuple[str, ...]) -> Fraction:
-        dims = len(names)
-        if dims == 1:
-            from ..qe.onevar import solve_univariate
-
-            solution = solve_univariate(formula, names[0])
-            measure = solution.measure()
-            if measure == float("inf"):
-                raise UnboundedSetError("volume requires a bounded set")
-            return Fraction(measure)
-
-        cells = formula_to_cells(formula, names)
-        if not cells:
-            return Fraction(0)
-        breaks: set[Fraction] = set()
-        max_subset = min(len(cells), dims)
-        for size in range(1, max_subset + 1):
-            for subset in combinations(cells, size):
-                guard.checkpoint()
-                intersection = subset[0]
-                for cell in subset[1:]:
-                    intersection = intersection.intersect(cell)
-                if intersection.is_empty():
-                    continue
-                if not intersection.is_bounded():
-                    raise UnboundedSetError("volume requires a bounded set")
-                for vertex in intersection.vertices():
-                    breaks.add(vertex[0])
-        breakpoints = sorted(breaks)
-        first, rest = names[0], names[1:]
-
-        total = Fraction(0)
-        for left, right in zip(breakpoints, breakpoints[1:]):
-            guard.checkpoint()
-            if right <= left:
-                continue
-            width = right - left
-            samples: list[tuple[Fraction, Fraction]] = []
-            for k in range(1, dims + 1):
-                t = left + width * Fraction(k, dims + 1)
-                sliced = _substitute(formula, {first: Const(t)})
-                samples.append((t, recurse(sliced, rest)))
-            piece = lagrange_interpolate(samples)
-            total += integrate_upoly(piece, left, right)
-        return total
-
-    return recurse(output, variables)
+    return union_volume(formula_to_cells(output, variables))

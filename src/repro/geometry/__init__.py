@@ -10,7 +10,6 @@ from .polyhedron import Point, Polyhedron
 from .linalg import determinant, gaussian_elimination_rank, solve_linear_system
 from .volume import (
     integrate_upoly,
-    interval_length,
     lagrange_interpolate,
     polytope_volume,
     union_volume,
@@ -47,7 +46,6 @@ __all__ = [
     "gaussian_elimination_rank",
     "polytope_volume",
     "union_volume",
-    "interval_length",
     "lagrange_interpolate",
     "integrate_upoly",
     "formula_to_cells",

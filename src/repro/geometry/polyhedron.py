@@ -220,7 +220,7 @@ class Polyhedron:
         closed = self.closure()
         vertices: list[Point] = []
         seen: set[Point] = set()
-        constraints = closed.constraints
+        constraints = _drop_looser_parallels(closed.constraints)
         for subset in itertools.combinations(range(len(constraints)), d):
             matrix = []
             rhs = []
@@ -242,3 +242,28 @@ class Polyhedron:
         if not self.constraints:
             return f"R^{len(self.variables)}"
         return " AND ".join(str(c) for c in self.constraints)
+
+
+def _drop_looser_parallels(
+    constraints: tuple[LinConstraint, ...]
+) -> list[LinConstraint]:
+    """*constraints* without each ``<=`` implied by a parallel, tighter one.
+
+    A looser parallel half-space is never tight at a point of the
+    polyhedron, so it defines no vertex; of equal copies the first stays.
+    Order is kept.  Intersections of cells that share a clip box or
+    overlap along an axis carry many such pairs.
+    """
+    keys: list[tuple | None] = []
+    tightest: dict[tuple, tuple[Fraction, LinConstraint]] = {}
+    for c in constraints:
+        key = None
+        if c.op == "<=" and c.coeffs:
+            scale = abs(c.coeffs[0][1])
+            key = tuple((v, a / scale) for v, a in c.coeffs)
+            offset = c.constant / scale
+            if key not in tightest or offset > tightest[key][0]:
+                tightest[key] = (offset, c)
+        keys.append(key)
+    return [c for c, key in zip(constraints, keys)
+            if key is None or tightest[key][1] is c]

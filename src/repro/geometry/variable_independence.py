@@ -62,8 +62,8 @@ def variable_independent_volume(
 
     Raises :class:`GeometryError` when the condition fails — the situation
     the paper's Theorem 3 was designed to escape.  Overlapping boxes are
-    handled by the same inclusion-exclusion as the general path (the
-    intersections of boxes are boxes, so the fast path applies throughout).
+    handled by inclusion-exclusion over their intersections, which are
+    again boxes, so the product rule applies to every term.
     """
     cells = formula_to_cells(formula, tuple(variables))
     for cell in cells:

@@ -4,21 +4,23 @@ The paper proves FO + POLY + SUM expresses volumes of semi-linear sets by
 induction on dimension: slice along the first coordinate, observe that the
 (d-1)-dimensional slice volume is piecewise polynomial of degree <= d-1
 between breakpoints, and integrate each piece.  This module implements
-exactly that computation with rational arithmetic:
+exactly that computation with rational arithmetic, for one convex cell
+and for a union of cells alike:
 
-* breakpoints are the first coordinates of the polytope's vertices,
-* on each open interval between breakpoints the slice-volume function is a
+* breakpoints are the first coordinates of the vertices of every cell and
+  of every non-empty intersection of 2..d cells — the only places where
+  the union's facial structure above the slicing axis can change — so a
+  union of n cells costs O(C(n, <=d)) intersections, not 2^n;
+* on each open slab between breakpoints the slice-volume function is a
   polynomial of degree <= d-1, recovered exactly by Lagrange interpolation
-  through d interior sample slices,
-* each piece is integrated in closed form.
-
-Unions of cells (general semi-linear sets) are handled by
-inclusion-exclusion over intersections, which are again convex cells.
+  through d interior sample slices; a sample slices only the cells whose
+  first-coordinate span covers the slab and recurses on those slices;
+* each piece is integrated in closed form; in dimension 1 the volume of a
+  union of intervals is a sorted merge.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,13 +32,9 @@ from .polyhedron import Polyhedron
 __all__ = [
     "polytope_volume",
     "union_volume",
-    "interval_length",
     "lagrange_interpolate",
     "integrate_upoly",
 ]
-
-#: Guard for the 2^n blow-up of inclusion-exclusion.
-MAX_UNION_CELLS = 20
 
 
 def lagrange_interpolate(
@@ -66,67 +64,28 @@ def integrate_upoly(poly: UPoly, low: Fraction, high: Fraction) -> Fraction:
     return antiderivative(high) - antiderivative(low)
 
 
-def interval_length(polyhedron: Polyhedron) -> Fraction:
-    """Volume in dimension 1: the length of the solution interval."""
-    if polyhedron.is_empty():
-        return Fraction(0)
-    var = polyhedron.variables[0]
-    low, high = polyhedron.coordinate_bounds(var)
-    if low is None or high is None:
-        raise UnboundedSetError(f"unbounded in {var!r}; volume is infinite")
-    return max(Fraction(0), high - low)
-
-
 def polytope_volume(polyhedron: Polyhedron) -> Fraction:
     """Exact d-dimensional volume of a bounded convex polyhedron.
 
     Strict constraints are closed first (equal volume).  Raises
     :class:`UnboundedSetError` for unbounded inputs.
     """
-    d = polyhedron.dimension
-    if d == 0:
+    if polyhedron.dimension == 0:
         raise GeometryError("volume undefined in dimension 0")
     obs.add("volume.polytopes")
     closed = polyhedron.closure()
     if closed.is_empty():
         return Fraction(0)
-    if d == 1:
-        return interval_length(closed)
-
-    var = closed.variables[0]
-    vertices = closed.vertices()
-    if not vertices:
-        # No vertices with a nonempty closed polyhedron means it is
-        # unbounded (or degenerate without corners, also unbounded).
-        raise UnboundedSetError("polyhedron has no vertices; it is unbounded")
-    low, high = closed.coordinate_bounds(var)
-    if low is None or high is None:
-        raise UnboundedSetError(f"unbounded in {var!r}; volume is infinite")
-
-    breakpoints = sorted({v[0] for v in vertices} | {low, high})
-    total = Fraction(0)
-    for left, right in zip(breakpoints, breakpoints[1:]):
-        guard.checkpoint()
-        if right <= left:
-            continue
-        width = right - left
-        # d interior samples recover the degree-(d-1) slice-volume polynomial.
-        samples: list[tuple[Fraction, Fraction]] = []
-        for k in range(1, d + 1):
-            t = left + width * Fraction(k, d + 1)
-            obs.add("volume.slices")
-            slice_volume = polytope_volume(closed.fix_variable(var, t))
-            samples.append((t, slice_volume))
-        piece = lagrange_interpolate(samples)
-        total += integrate_upoly(piece, left, right)
-    return total
+    return _slab_volume([closed])
 
 
 def union_volume(cells: Sequence[Polyhedron]) -> Fraction:
-    """Exact volume of a union of convex cells by inclusion-exclusion.
+    """Exact volume of a union of convex cells by union-aware slicing.
 
-    All cells must share the same variable tuple.  Intersections of cells
-    are again convex, so each term reduces to :func:`polytope_volume`.
+    All cells must share the same variable tuple.  Cells may overlap,
+    touch, nest or be lower-dimensional; strict constraints are closed
+    (equal volume).  Raises :class:`UnboundedSetError` if the union is
+    unbounded.
     """
     cells = [c for c in cells if not c.is_empty()]
     if not cells:
@@ -135,23 +94,82 @@ def union_volume(cells: Sequence[Polyhedron]) -> Fraction:
     for cell in cells:
         if cell.variables != variables:
             raise GeometryError("all cells must share the same variables")
-    if len(cells) > MAX_UNION_CELLS:
-        raise GeometryError(
-            f"inclusion-exclusion over {len(cells)} cells is infeasible "
-            f"(limit {MAX_UNION_CELLS})"
-        )
-    total = Fraction(0)
+    if not variables:
+        raise GeometryError("volume undefined in dimension 0")
     with obs.span("volume.union", cells=len(cells)):
-        for size in range(1, len(cells) + 1):
-            sign = 1 if size % 2 == 1 else -1
-            for subset in itertools.combinations(cells, size):
-                guard.checkpoint()
-                intersection = subset[0]
-                for cell in subset[1:]:
-                    intersection = intersection.intersect(cell)
-                if size > 1:
-                    obs.add("volume.intersections")
-                if intersection.is_empty():
+        if len(cells) == 1:
+            return polytope_volume(cells[0])
+        return _slab_volume([c.closure() for c in cells])
+
+
+def _slab_volume(cells: list[Polyhedron]) -> Fraction:
+    """Volume of the union of non-empty closed *cells* (dimension >= 1)."""
+    var = cells[0].variables[0]
+    d = cells[0].dimension
+    spans = []
+    for cell in cells:
+        low, high = cell.coordinate_bounds(var)
+        if low is None or high is None:
+            raise UnboundedSetError(f"unbounded in {var!r}; volume is infinite")
+        spans.append((low, high))
+    if d == 1:
+        return _interval_union_length(spans)
+
+    # Breakpoints: first coordinates of the vertices of every cell and of
+    # every non-empty intersection of up to d cells.  Intersections grow
+    # one cell at a time; one whose first-coordinate span is at most a
+    # point adds no breakpoint beyond that span's ends, and neither do
+    # its supersets, so it is not tested.
+    breaks = {bound for span in spans for bound in span}
+    level = [(i, cell, span) for i, (cell, span) in enumerate(zip(cells, spans))]
+    for size in range(1, d + 1):
+        grown = []
+        for last, region, (low, high) in level:
+            guard.checkpoint()
+            breaks.update(vertex[0] for vertex in region.vertices())
+            if size == d:
+                continue
+            for j in range(last + 1, len(cells)):
+                meet_span = (max(low, spans[j][0]), min(high, spans[j][1]))
+                if meet_span[0] >= meet_span[1]:
                     continue
-                total += sign * polytope_volume(intersection)
+                obs.add("volume.intersections")
+                meet = region.intersect(cells[j])
+                if not meet.is_empty():
+                    grown.append((j, meet, meet_span))
+        level = grown
+
+    # Between breakpoints the slice volume is a polynomial of degree
+    # <= d-1: d interior samples recover it exactly.  A cell is live in a
+    # slab iff its span covers it (span ends are breakpoints).
+    breakpoints = sorted(breaks)
+    total = Fraction(0)
+    for left, right in zip(breakpoints, breakpoints[1:]):
+        guard.checkpoint()
+        live = [c for c, (low, high) in zip(cells, spans)
+                if low <= left and right <= high]
+        if not live:
+            continue
+        samples: list[tuple[Fraction, Fraction]] = []
+        for k in range(1, d + 1):
+            t = left + (right - left) * Fraction(k, d + 1)
+            obs.add("volume.slices")
+            slices = [c.fix_variable(var, t) for c in live]
+            if len(slices) == 1:
+                samples.append((t, polytope_volume(slices[0])))
+            else:
+                samples.append((t, _slab_volume(slices)))
+        total += integrate_upoly(lagrange_interpolate(samples), left, right)
+    return total
+
+
+def _interval_union_length(spans: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """Total length of a union of closed intervals (sorted merge)."""
+    total = Fraction(0)
+    reach: Fraction | None = None
+    for low, high in sorted(spans):
+        start = low if reach is None else max(low, reach)
+        if high > start:
+            total += high - start
+            reach = high
     return total

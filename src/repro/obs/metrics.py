@@ -201,7 +201,7 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "volume.polytopes": ("counter", "polytope-volume evaluations (incl. recursion)"),
     "volume.slices": ("counter", "interior slice samples taken by Theorem-3 slicing"),
     "volume.intersections": (
-        "counter", "cell intersections formed by inclusion-exclusion"),
+        "counter", "≤ d-cell intersections tested for slicing breakpoints"),
     "triangulate.simplices": ("counter", "simplices measured by the triangulators"),
     "mc.samples": ("counter", "hit-or-miss sample points drawn"),
     "mc.hits": ("counter", "hit-or-miss sample points inside the set"),

@@ -23,16 +23,14 @@ import repro
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-#: A query whose compile takes a couple of seconds (Fourier-Motzkin
-#: blowup grows with the disjunction count), used to hold a pool slot
-#: while backpressure and drain behavior is probed.
-SLOW_FORMULA = (
-    "EXISTS u . EXISTS v . (0 <= u AND u <= 1 AND 0 <= v AND v <= 1 AND ("
-    + " OR ".join(
-        f"({j}*u <= 2*x AND u + v <= x + {j}*y AND {j}*v <= u + 1)"
-        for j in range(1, 7)
-    )
-    + ") AND 0 <= x AND x <= 1 AND 0 <= y AND y <= 1)"
+#: A query whose exact volume takes a couple of seconds (a union of five
+#: overlapping skewed 3-D cells: every slab of the slicing integrator
+#: slices several live cells), used to hold a pool slot while
+#: backpressure and drain behavior is probed.
+SLOW_FORMULA = " OR ".join(
+    f"(0 <= x AND 0 <= y AND 0 <= z AND {j}*x + {5 - j}*y + z <= {j}"
+    f" AND x + {j}*z <= 5 AND y <= x + {j}/5)"
+    for j in range(1, 6)
 )
 
 #: Moderately slow to compile (~0.1 s) — wide enough a window for

@@ -4,8 +4,8 @@ Not a paper claim — an engineering contract of the ``repro.engine``
 subsystem (see docs/ENGINE.md): preparing a query pays quantifier
 elimination and cell decomposition once, so (1) repeated evaluation
 through a warm plan cache must be at least 5x faster than re-running the
-cold pipeline each time, (2) reloading a spilled plan must beat
-recompiling it, (3) a 4-worker batch over independent queries must
+cold pipeline each time, (2) fetching a plan from the shared plan store
+must beat recompiling it, (3) a 4-worker batch over independent queries must
 beat the same batch run serially, and (4) a batch run against a
 prewarmed shared plan store must be at least 3x faster than the cold
 run that populated it.  The table reports the measured times; each row
@@ -27,6 +27,7 @@ from repro.engine import (
     DEFAULT_CACHE,
     PlanCache,
     PlanStore,
+    StoreBackedCache,
     executor,
     prepare,
     run_batch,
@@ -65,24 +66,24 @@ def test_warm_cache_speedup(tmp_path):
     warm_s = time.perf_counter() - start
     assert warm_value == cold_value
 
-    # Spill the warm cache and reload it in a fresh one: the loaded plan
-    # skips QE/decomposition, so load + evaluate beats a cold run.
-    spill = str(tmp_path / "plans.jsonl")
-    cache.spill(spill)
-    start = time.perf_counter()
-    fresh = PlanCache()
-    fresh.load(spill)
-    loaded_value = prepare(query, cache=fresh).volume()
-    loaded_s = time.perf_counter() - start
+    # Publish the plan to a shared store and fetch it through a fresh
+    # read-through cache: the stored plan skips QE/decomposition, so
+    # fetch + evaluate beats a cold run.
+    with PlanStore(str(tmp_path / "plans.sqlite")) as store:
+        store.publish(prepare(query, cache=cache))
+        start = time.perf_counter()
+        fresh = StoreBackedCache(store)
+        loaded_value = prepare(query, cache=fresh).volume()
+        loaded_s = time.perf_counter() - start
     assert loaded_value == cold_value
-    assert fresh.stats.hits == 1  # served from the spill, not recompiled
+    assert fresh.outcomes["store_hits"] == 1  # fetched, not recompiled
 
     speedup = cold_s / warm_s
     header = ["probe", "seconds", "target"]
     rows = [
         [f"cold prepare+volume x{repeats}", f"{cold_s:.4f}", "-"],
         [f"warm cache x{repeats}", f"{warm_s:.4f}", f"<= cold/5"],
-        ["spill load + volume", f"{loaded_s:.4f}", f"< cold/{repeats}"],
+        ["store fetch + volume", f"{loaded_s:.4f}", f"< cold/{repeats}"],
         ["warm speedup", f"{speedup:.1f}x", ">= 5x"],
     ]
     print_table("ENGINE: plan-cache amortization", header, rows)

@@ -46,8 +46,8 @@ Subpackages
 ``repro.engine``
     The query engine: canonical formula hashing, prepared queries
     (compile once, evaluate many times), a content-addressed LRU plan
-    cache with JSONL spill/load, and a process-pool batch executor
-    (``python -m repro batch``).
+    cache, a cross-process SQLite plan store, and a process-pool batch
+    executor (``python -m repro batch``).
 """
 
 __version__ = "0.1.0"

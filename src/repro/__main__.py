@@ -233,16 +233,11 @@ def _batch(args: argparse.Namespace) -> None:
     import json
     import os
 
-    from repro.engine import DEFAULT_CACHE, run_batch
+    from repro.engine import run_batch
 
-    if args.plan_store and args.plan_cache:
+    if args.compile_only and not args.plan_store:
         raise ReproError(
-            "--plan-store and --plan-cache are mutually exclusive "
-            "(the store subsumes spill files; see docs/ENGINE.md)"
-        )
-    if args.compile_only and not (args.plan_store or args.plan_cache):
-        raise ReproError(
-            "--compile-only needs --plan-store (or --plan-cache): "
+            "--compile-only needs --plan-store: "
             "prewarmed plans must land somewhere that outlives the run"
         )
     if args.resume and not args.journal:
@@ -267,18 +262,12 @@ def _batch(args: argparse.Namespace) -> None:
               "--plan-store (telemetry must not depend on scheduling)",
               file=sys.stderr)
 
-    if args.plan_cache and os.path.exists(args.plan_cache):
-        loaded = DEFAULT_CACHE.load(args.plan_cache)
-        print(f"batch: loaded {loaded} plans from {args.plan_cache}",
-              file=sys.stderr)
-
-    store_before = None
     if args.plan_store:
-        from repro.engine import PlanStore
+        from repro.engine import PlanStore, store_traffic
+        from repro.engine.store import STAT_COUNTERS
 
         with PlanStore(args.plan_store) as store:
-            store_before = {"plans": len(store), **store.stats_snapshot()}
-            hist_before = store.fetch_hist_snapshot()
+            traffic_before = store.traffic_mark()
 
     import time
 
@@ -298,50 +287,26 @@ def _batch(args: argparse.Namespace) -> None:
 
     store_metrics = None
     if args.plan_store:
-        from repro.engine import PlanStore
-
         with PlanStore(args.plan_store) as store:
-            store_after = {"plans": len(store), **store.stats_snapshot()}
-            store_hist = store.fetch_hist_snapshot()
+            store_metrics, _ = store_traffic(store, traffic_before)
+        plans = store_metrics["gauges"]["engine.store.plans"]
         delta = {
-            name: store_after[name] - store_before[name]
-            for name in store_before
+            name: store_metrics["counters"].get(metric, 0)
+            for name, metric in STAT_COUNTERS.items()
         }
         # Surfaced in the --json summary row too (not just this stderr
         # line), so store traffic survives into machine-readable output.
         args.batch_store_delta = {
-            "path": args.plan_store,
-            "plans": store_after["plans"],
-            **{name: delta[name] for name in (
-                "hits", "misses", "publishes", "compiles", "races",
-                "stale_claims",
-            )},
+            "path": args.plan_store, "plans": plans, **delta,
         }
         print(
-            f"batch: plan store {args.plan_store}: {store_after['plans']} "
-            f"plans ({delta['plans']:+d}), store-hits={delta['hits']}, "
-            f"misses={delta['misses']}, compiles={delta['compiles']}, "
-            f"races={delta['races']}, stale-claims={delta['stale_claims']}",
+            f"batch: plan store {args.plan_store}: {plans} plans "
+            f"({plans - traffic_before['plans']:+d}), "
+            f"store-hits={delta['hits']}, misses={delta['misses']}, "
+            f"compiles={delta['compiles']}, races={delta['races']}, "
+            f"stale-claims={delta['stale_claims']}",
             file=sys.stderr,
         )
-        store_metrics = {
-            "counters": {
-                f"engine.store.{name}": value for name, value in (
-                    ("hit", delta["hits"]), ("miss", delta["misses"]),
-                    ("publish", delta["publishes"]),
-                    ("compile", delta["compiles"]), ("race", delta["races"]),
-                    ("stale_claims", delta["stale_claims"]),
-                ) if value
-            },
-            "gauges": {"engine.store.plans": store_after["plans"]},
-        }
-        from repro.engine.executor import _hist_delta
-
-        hist_delta = _hist_delta(hist_before, store_hist)
-        if hist_delta.count:
-            store_metrics["histograms"] = {
-                "engine.store.fetch_s": hist_delta.as_dict()
-            }
 
     if args.trace_out is not None:
         from repro.obs.aggregate import summary_record, task_record
@@ -382,10 +347,6 @@ def _batch(args: argparse.Namespace) -> None:
         if out is not sys.stdout:
             out.close()
 
-    if args.plan_cache:
-        spilled = DEFAULT_CACHE.spill(args.plan_cache, append=False)
-        print(f"batch: spilled {spilled} plans to {args.plan_cache}",
-              file=sys.stderr)
     tally = {"ok": 0, "budget-exceeded": 0, "error": 0}
     for record in results:
         tally[record.get("status", "error")] = (
@@ -647,16 +608,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "in-process, shared plan cache)",
     )
     batch.add_argument(
-        "--plan-cache", metavar="PATH", default=None,
-        help="warm-cache spill file: loaded before the batch if it exists, "
-        "rewritten after it",
-    )
-    batch.add_argument(
         "--plan-store", metavar="PATH", default=None,
         help="cross-process shared plan store (SQLite, created on first "
         "use): every worker compiles through it, so each distinct query "
         "shape is compiled at most once batch-wide — and prewarmed stores "
-        "skip compilation entirely (mutually exclusive with --plan-cache)",
+        "skip compilation entirely",
     )
     batch.add_argument(
         "--compile-only", action="store_true", default=False,

@@ -10,11 +10,13 @@ Section 3 blow-up is exactly the cost worth paying once per query
   alpha-variants and commutative reorderings share one cache key;
 * :mod:`repro.engine.prepared` — compile once, evaluate many times, with
   plan provenance;
-* :mod:`repro.engine.cache` — a thread-safe LRU plan cache with JSONL
-  spill/load for warm restarts;
+* :mod:`repro.engine.cache` — a thread-safe, in-process LRU plan cache;
 * :mod:`repro.engine.store` — a cross-process shared plan store (SQLite)
   with a read-through/write-back cache adapter, so every worker — and
   every run sharing the store file — compiles each plan at most once;
+  the one way plans persist beyond a process;
+* :mod:`repro.engine.pool` — the rebuildable worker-process pool behind
+  both the batch executor and :mod:`repro.serve`;
 * :mod:`repro.engine.executor` — a fault-tolerant process-pool batch
   executor with per-task budgets, deterministic per-task seeds, crash
   isolation with retry/backoff, and poison-task quarantine
@@ -26,8 +28,8 @@ Section 3 blow-up is exactly the cost worth paying once per query
   injection (worker kills/hangs, simulated parent crashes) for testing
   all of the above.
 
-See docs/ENGINE.md for cache-key semantics, the spill schema, the shared
-plan store, and the batch manifest format.
+See docs/ENGINE.md for cache-key semantics, the shared plan store and
+its plan record format, and the batch manifest format.
 """
 
 from .canon import (
@@ -39,8 +41,9 @@ from .canon import (
 from .cache import DEFAULT_CACHE, CacheStats, PlanCache, default_cache
 from .chaos import ChaosAbort, ChaosPlan, parse_chaos
 from .journal import JOURNAL_SCHEMA, Journal, manifest_fingerprint, read_journal
+from .pool import WorkerPool
 from .prepared import PlanProvenance, PreparedQuery, prepare
-from .store import PlanStore, StoreBackedCache
+from .store import PlanStore, StoreBackedCache, store_traffic
 from .executor import (
     OPS,
     cache_outcome,
@@ -66,6 +69,8 @@ __all__ = [
     "prepare",
     "PlanStore",
     "StoreBackedCache",
+    "store_traffic",
+    "WorkerPool",
     "ChaosAbort",
     "ChaosPlan",
     "parse_chaos",

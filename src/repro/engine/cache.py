@@ -7,18 +7,14 @@ count and by total compiled cells (the dominant memory cost of a plan);
 least-recently-used plans are evicted first.  Hit / miss / eviction
 counts flow into :mod:`repro.obs` under ``engine.cache.*``.
 
-A warm cache can be **spilled** to a JSON-lines file and **loaded** back
-in a later process: plans serialize their compiled artifacts (canonical
-formula text, cell constraint systems, decision bits, witnesses) rather
-than a pickle, so the spill format is stable, diffable, and independent
-of the Python version — see docs/ENGINE.md for the schema.
+The cache lives and dies with its process; plans outlive a run (and are
+shared between processes) through the plan store,
+:mod:`repro.engine.store`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import warnings
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
@@ -29,22 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = ["PlanCache", "CacheStats", "DEFAULT_CACHE", "default_cache"]
 
-#: Spill-file schema tag; bump on incompatible changes.
-SPILL_SCHEMA = "repro.engine.plan/v1"
-
 
 class CacheStats:
     """Monotonic counters for one :class:`PlanCache` instance."""
 
-    __slots__ = ("hits", "misses", "evictions", "spilled", "loaded", "skipped")
+    __slots__ = ("hits", "misses", "evictions")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.spilled = 0
-        self.loaded = 0
-        self.skipped = 0
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -142,114 +132,6 @@ class PlanCache:
     def keys(self) -> list[str]:
         with self._lock:
             return list(self._plans)
-
-    # -- persistence -------------------------------------------------------
-    def spill(self, path: str, append: bool = True) -> int:
-        """Write every cached plan to the JSONL file *path* (LRU first).
-
-        Returns the number of plans written.  ``append=False`` truncates
-        first (the CLI uses this so a reused spill file does not grow
-        without bound).  Plans loaded from a spill and re-spilled
-        round-trip unchanged.
-        """
-        with self._lock:
-            plans = list(self._plans.values())
-        written = 0
-        with open(path, "a" if append else "w", encoding="utf-8") as handle:
-            for plan in plans:
-                record = plan.to_record()
-                record["schema"] = SPILL_SCHEMA
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                written += 1
-        self.stats.spilled += written
-        obs.add("engine.cache.spilled", written)
-        return written
-
-    def load(self, path: str) -> int:
-        """Load plans spilled by :meth:`spill`; returns how many were added.
-
-        Duplicate keys are skipped (a key's compiled artifacts are a
-        deterministic function of the key, so any copy is as good as any
-        other).  Blank lines are ignored; malformed lines — invalid JSON,
-        non-objects, unknown schema tags, or records a plan cannot be
-        rebuilt from — are *skipped* with one warning each, counted in
-        ``stats.skipped`` and ``engine.cache.load_skipped``, rather than
-        aborting the whole load (mirroring :func:`repro.obs.read_jsonl`):
-        one corrupt line must not make an entire warm spill unusable.
-        """
-        from .prepared import PreparedQuery
-
-        added = 0
-        records, skipped = _read_records(path)
-        for lineno, record in records:
-            try:
-                plan = PreparedQuery.from_record(record)
-            except Exception as error:  # noqa: BLE001 - any bad payload skips
-                skipped += 1
-                warnings.warn(
-                    f"{path}:{lineno}: skipping unloadable plan record "
-                    f"({type(error).__name__}: {error})",
-                    stacklevel=2,
-                )
-                continue
-            with self._lock:
-                fresh = plan.key not in self._plans
-                if not fresh:
-                    # Refresh recency; keep the already-shared object.
-                    self._plans.move_to_end(plan.key)
-                    continue
-            self.put(plan)
-            added += 1
-        self.stats.loaded += added
-        obs.add("engine.cache.loaded", added)
-        if skipped:
-            self.stats.skipped += skipped
-            obs.add("engine.cache.load_skipped", skipped)
-        return added
-
-
-def _read_records(path: str) -> tuple[list[tuple[int, dict]], int]:
-    """Parse a spill file into ``(lineno, record)`` pairs plus a skip count.
-
-    Blank lines are silently ignored; invalid JSON, non-object lines, and
-    unknown schema tags are counted and reported via :mod:`warnings`
-    instead of raising, so a partially corrupt spill still yields every
-    readable plan.
-    """
-    records: list[tuple[int, dict]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                skipped += 1
-                warnings.warn(
-                    f"{path}:{lineno}: skipping malformed plan line ({error})",
-                    stacklevel=3,
-                )
-                continue
-            if not isinstance(record, dict):
-                skipped += 1
-                warnings.warn(
-                    f"{path}:{lineno}: skipping non-object plan line",
-                    stacklevel=3,
-                )
-                continue
-            schema = record.get("schema")
-            if schema != SPILL_SCHEMA:
-                skipped += 1
-                warnings.warn(
-                    f"{path}:{lineno}: skipping record with unknown plan "
-                    f"schema {schema!r} (expected {SPILL_SCHEMA!r})",
-                    stacklevel=3,
-                )
-                continue
-            records.append((lineno, record))
-    return records, skipped
 
 
 #: The process-wide cache :func:`repro.engine.prepare` uses by default.

@@ -23,7 +23,7 @@ Every step preserves semantics exactly, so a canonical form may be
 compiled *in place of* the original formula.  :func:`content_hash`
 derives the plan-cache key from the canonical printed form (the printer
 round-trips through the parser, so the same string also serves as the
-spill representation — see :mod:`repro.engine.cache`).
+plan record's formula text — see :mod:`repro.engine.prepared`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ Execution contract:
   the batch ``--seed`` via ``numpy.random.SeedSequence([seed, i])``, so
   results are independent of worker count and scheduling order;
 * **parallelism** — ``workers > 1`` fans tasks out to a
-  ``concurrent.futures`` process pool (QE/CAD are CPU-bound, so threads
+  :class:`~repro.engine.pool.WorkerPool` (QE/CAD are CPU-bound, so threads
   would serialize on the GIL); each worker process keeps its own warm
   plan cache across the tasks it serves, and ``workers <= 1`` runs
   serially in-process against the shared cache;
@@ -39,9 +39,9 @@ Execution contract:
   injection) breaks only its pool, not the batch: the executor detects
   ``BrokenProcessPool``, attributes the crash to the in-flight task via a
   per-task liveness handshake (marker files written at task start /
-  finish), rebuilds the pool after an exponential backoff with jitter,
-  and re-dispatches only the unfinished tasks.  Retries are governed by a
-  per-task :class:`~repro.guard.Budget` retry budget (``max_retries``); a
+  finish), rebuilds the pool, and after an exponential backoff with
+  jitter re-dispatches only the unfinished tasks.  Retries are governed
+  by a per-task :class:`~repro.guard.Budget` retry budget (``max_retries``); a
   task that keeps killing pools is *quarantined* with a structured
   ``"status": "quarantined"`` record (optionally answered by the
   in-process MC ladder when a fallback policy is set) and the batch
@@ -79,7 +79,6 @@ from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
     Future,
-    ProcessPoolExecutor,
     wait,
 )
 from fractions import Fraction
@@ -89,11 +88,11 @@ from .. import guard, obs
 from .._errors import ReproError
 from ..guard.budget import Budget
 from ..guard.errors import BudgetExceeded, RetryBudgetExceeded
-from ..obs.histogram import Histogram
 from .chaos import ChaosPlan, parse_chaos
 from .journal import Journal, open_journal
+from .pool import WorkerPool
 from .prepared import prepare
-from .store import PlanStore, StoreBackedCache
+from .store import PlanStore, StoreBackedCache, store_traffic
 
 __all__ = [
     "OPS", "task_seed", "task_key", "normalize_task", "execute_task",
@@ -533,7 +532,8 @@ def run_batch(
     Fault tolerance (see the module docstring): ``max_retries`` caps the
     transient-failure retries per task before quarantine;
     ``retry_backoff_s`` is the base of the exponential backoff slept
-    before a broken pool is rebuilt (0 disables the sleep);
+    before tasks are re-dispatched after a pool break (0 disables the
+    sleep);
     ``hang_timeout_s`` arms a watchdog that SIGKILLs a worker whose task
     has been in flight longer than the timeout (off by default — arm it
     only above the worst-case single-task runtime); ``chaos`` injects
@@ -563,8 +563,7 @@ def run_batch(
     store = PlanStore(str(plan_store)) if plan_store else None
     try:
         prewarmed = frozenset(store.keys()) if store is not None else frozenset()
-        stats_before = store.stats_snapshot() if store is not None else None
-        hist_before = store.fetch_hist_snapshot() if store is not None else None
+        traffic_before = store.traffic_mark() if store is not None else None
         journal_writer: Journal | None = None
         replayed: dict[int, dict[str, Any]] = {}
         if journal is not None:
@@ -617,8 +616,12 @@ def run_batch(
             else:
                 obs.add("engine.batch.errors")
         _attach_cache_provenance(results, prewarmed, seen_keys)
-        if store is not None:
-            _fold_store_delta(store, stats_before, hist_before)
+        if store is not None and obs.counting_enabled():
+            # Folded once, here: worker registries died with the pool.
+            from ..obs.aggregate import merge_snapshot_into
+
+            traffic, _ = store_traffic(store, traffic_before)
+            merge_snapshot_into(obs.REGISTRY, traffic)
     finally:
         if store is not None:
             store.close()
@@ -701,7 +704,7 @@ class _BatchRunner:
             return self.results
         self.liveness_dir = tempfile.mkdtemp(prefix="repro-batch-")
         try:
-            self._run_pooled(indices, max(1, workers))
+            self._run_pooled(indices, workers)
         finally:
             shutil.rmtree(self.liveness_dir, ignore_errors=True)
             self.liveness_dir = None
@@ -728,65 +731,67 @@ class _BatchRunner:
 
     # -- pooled path -------------------------------------------------------
     def _run_pooled(self, indices: list[int], workers: int) -> None:
-        queue = [i for i in indices if i not in self.results]
-        while queue:
-            queue = self._pool_round(queue, workers)
+        pool = WorkerPool(workers)
+        try:
+            queue = [i for i in indices if i not in self.results]
+            while queue:
+                queue = self._pool_round(pool, queue)
+        finally:
+            pool.close()
 
-    def _pool_round(self, queue: list[int], workers: int) -> list[int]:
-        """Run one pool until it finishes the queue or breaks.
+    def _pool_round(self, pool: WorkerPool, queue: list[int]) -> list[int]:
+        """Run the queue on *pool* until it finishes or the pool breaks.
 
-        Returns the indices to re-dispatch in the next round (empty when
-        the pool drained the queue).
+        A break (at submit time or in flight) rebuilds the pool; returns
+        the indices to re-dispatch in the next round (empty when the
+        queue drained).
         """
+        generation = pool.generation
         broken = False
         futures: dict[Future, int] = {}
         shot_pids: set[int] = set()
-        pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            try:
-                for index in queue:
-                    self._clear_markers(index)
-                    task_config = {
-                        **self._task_config(index),
-                        "liveness_dir": self.liveness_dir,
-                    }
-                    action = (
-                        self.chaos.take(index) if self.chaos is not None else None
-                    )
-                    if action is not None:
-                        task_config["chaos"] = action
-                    futures[pool.submit(
-                        worker_entry, (dict(self.by_index[index]), task_config)
-                    )] = index
-            except BrokenExecutor:
-                broken = True
-            pending = set(futures)
-            progressed = False
-            while pending and not broken:
-                done, pending = wait(
-                    pending, timeout=self._POLL_S, return_when=FIRST_COMPLETED
+            for index in queue:
+                self._clear_markers(index)
+                task_config = {
+                    **self._task_config(index),
+                    "liveness_dir": self.liveness_dir,
+                }
+                action = (
+                    self.chaos.take(index) if self.chaos is not None else None
                 )
-                for future in done:
-                    index = futures[future]
-                    try:
-                        result = future.result()
-                    except (BrokenExecutor, CancelledError, OSError):
-                        broken = True
-                    else:
-                        self._record(index, result)
-                        progressed = True
-                if not broken and pending and self.hang_timeout_s is not None:
-                    self._shoot_hung_workers(futures, pending, shot_pids)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+                if action is not None:
+                    task_config["chaos"] = action
+                futures[pool.submit(
+                    worker_entry, (dict(self.by_index[index]), task_config)
+                )] = index
+        except BrokenExecutor:
+            broken = True
+        pending = set(futures)
+        progressed = False
+        while pending and not broken:
+            done, pending = wait(
+                pending, timeout=self._POLL_S, return_when=FIRST_COMPLETED
+            )
+            for future in done:
+                index = futures[future]
+                try:
+                    result = future.result()
+                except (BrokenExecutor, CancelledError, OSError):
+                    broken = True
+                else:
+                    self._record(index, result)
+                    progressed = True
+            if not broken and pending and self.hang_timeout_s is not None:
+                self._shoot_hung_workers(futures, pending, shot_pids)
         if not broken:
             return []
+        pool.rebuild(generation)
         return self._recover(queue, progressed)
 
     def _recover(self, queue: list[int], progressed: bool) -> list[int]:
         """Attribute a pool break and decide what to re-dispatch."""
         self.pool_breaks += 1
-        obs.add("engine.pool.rebuilds")
         unresolved = [i for i in queue if i not in self.results]
         suspects = [
             i for i in unresolved
@@ -920,7 +925,7 @@ class _BatchRunner:
             )
 
     def _backoff(self) -> None:
-        """Exponential backoff with jitter before rebuilding a pool."""
+        """Exponential backoff with jitter before re-dispatching."""
         if self.retry_backoff_s <= 0:
             return
         scale = min(2 ** (self.pool_breaks - 1), self._BACKOFF_CAP)
@@ -1026,68 +1031,6 @@ def cache_outcome(
         outcome = "misses"
     seen.add(key)
     return {"hits": 0, "misses": 0, "store_hits": 0, outcome: 1}
-
-
-#: ``stats`` table name -> obs counter it feeds (see obs/metrics.py).
-_STORE_COUNTERS = {
-    "hits": "engine.store.hit",
-    "misses": "engine.store.miss",
-    "publishes": "engine.store.publish",
-    "compiles": "engine.store.compile",
-    "races": "engine.store.race",
-    "stale_claims": "engine.store.stale_claims",
-}
-
-
-def _fold_store_delta(
-    store: PlanStore,
-    stats_before: dict[str, int],
-    hist_before: dict[str, Any],
-) -> tuple[dict[str, int], dict[str, Any]]:
-    """Fold the batch's store traffic into this process's registry, once.
-
-    Worker registries die with the pool, so the store's own SQLite stats
-    are the one surviving record of cross-process traffic; the parent
-    computes the before/after delta and applies it exactly once (counters
-    add; the fetch-latency histogram merges bucket-exactly, with min/max
-    conservatively taken from the store's lifetime extremes).  Returns
-    the *after* snapshots so incremental callers (the serving front-end
-    folds on every ``/metrics`` scrape) can chain the next delta from
-    them.
-    """
-    stats_after = store.stats_snapshot()
-    for name, metric in _STORE_COUNTERS.items():
-        delta = stats_after[name] - stats_before[name]
-        if delta:
-            obs.add(metric, delta)
-    obs.set_gauge("engine.store.plans", len(store))
-    hist_after = store.fetch_hist_snapshot()
-    if obs.counting_enabled():
-        delta_hist = _hist_delta(hist_before, hist_after)
-        if delta_hist.count:
-            obs.REGISTRY.histogram(
-                "engine.store.fetch_s",
-                "Shared-plan-store fetch latency (seconds)",
-            ).merge(delta_hist)
-    return stats_after, hist_after
-
-
-def _hist_delta(
-    before: Mapping[str, Any], after: Mapping[str, Any]
-) -> Histogram:
-    """The bucket-exact difference of two fetch-histogram snapshots."""
-    hist = Histogram("engine.store.fetch_s")
-    hist.count = int(after.get("count", 0)) - int(before.get("count", 0))
-    hist.sum = float(after.get("sum", 0.0)) - float(before.get("sum", 0.0))
-    before_buckets = before.get("buckets") or {}
-    for index, n in (after.get("buckets") or {}).items():
-        delta = int(n) - int(before_buckets.get(index, 0))
-        if delta:
-            hist.buckets[int(index)] = delta
-    if hist.count > 0:
-        hist.min = None if after.get("min") is None else float(after["min"])
-        hist.max = None if after.get("max") is None else float(after["max"])
-    return hist
 
 
 def _merge_harvest(results: list[dict[str, Any]]) -> None:

@@ -10,20 +10,21 @@ evaluation) reuse the compiled artifacts.
 
 Plans carry provenance: the compile stages that ran with their
 durations, the resource consumption charged against the compile-time
-budget, and whether the plan was compiled in this process or loaded from
-a cache spill (:mod:`repro.engine.cache`).
+budget, and whether the plan was compiled in this process or fetched
+from the shared plan store (:mod:`repro.engine.store`), whose rows are
+this module's ``repro.engine.plan/v1`` records.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .. import guard, obs
-from .._errors import EvaluationError, QEError
+from .._errors import EvaluationError, QEError, ReproError
 from ..geometry.decomposition import clip_cells, formula_to_cells
 from ..geometry.polyhedron import Polyhedron
 from ..geometry.volume import union_volume
@@ -39,7 +40,10 @@ from ..qe.linear import LinConstraint
 from .canon import canonical_formula, content_hash
 from .cache import DEFAULT_CACHE, PlanCache
 
-__all__ = ["PlanProvenance", "PreparedQuery", "prepare"]
+__all__ = ["PLAN_SCHEMA", "PlanProvenance", "PreparedQuery", "prepare"]
+
+#: Schema tag of a serialized plan record; bump on incompatible changes.
+PLAN_SCHEMA = "repro.engine.plan/v1"
 
 #: Plan kinds: ``volume`` (semi-linear volume plan: QE + cells) and
 #: ``decide`` (FO + POLY sentence decided by CAD at compile time).
@@ -262,8 +266,15 @@ class PreparedQuery:
 
     # -- persistence -------------------------------------------------------
     def to_record(self) -> dict[str, Any]:
-        """A JSON-able snapshot of the compiled artifacts (see spill docs)."""
+        """A JSON-able ``PLAN_SCHEMA`` snapshot of the compiled artifacts.
+
+        Compiled artifacts (canonical formula text, cell constraint
+        systems, decision bits, witnesses) rather than a pickle, so the
+        format is stable, diffable, and independent of the Python
+        version — see docs/ENGINE.md for the schema.
+        """
         return {
+            "schema": PLAN_SCHEMA,
             "kind": self.kind,
             "key": self.key,
             "text": self.text,
@@ -289,7 +300,12 @@ class PreparedQuery:
 
     @staticmethod
     def from_record(record: Mapping[str, Any]) -> "PreparedQuery":
-        """Rebuild a plan from :meth:`to_record` output (spill load path)."""
+        """Rebuild a plan from :meth:`to_record` output (the store's read path)."""
+        if record.get("schema") != PLAN_SCHEMA:
+            raise ReproError(
+                f"plan record with unknown schema {record.get('schema')!r} "
+                f"(expected {PLAN_SCHEMA!r})"
+            )
         variables = tuple(record["variables"])
         cells = None
         if record.get("cells") is not None:
@@ -308,11 +324,9 @@ class PreparedQuery:
                 for cell in record["cells"]
             )
         witness = record.get("witness")
-        provenance = PlanProvenance.from_dict(record.get("provenance", {}))
-        if provenance.source != "spill":
-            provenance = PlanProvenance(
-                provenance.stages, provenance.compile_s, provenance.budget, "spill"
-            )
+        provenance = replace(
+            PlanProvenance.from_dict(record.get("provenance", {})), source="store"
+        )
         return PreparedQuery(
             kind=record["kind"],
             key=record["key"],

@@ -4,7 +4,7 @@ The batch executor gives every worker *process* its own in-memory
 :class:`~repro.engine.cache.PlanCache`, so without coordination N workers
 recompile the same content-hashed plan up to N times.  This module is the
 coordination point: one SQLite file (WAL mode, so concurrent readers
-never block) holding ``repro.engine.plan/v1``-compatible records keyed by
+never block) holding ``repro.engine.plan/v1`` records keyed by
 :func:`~repro.engine.canon.content_hash` digests, shared by every process
 — and, over a shared filesystem, every machine — that evaluates the same
 manifest.
@@ -12,9 +12,9 @@ manifest.
 Three tables do the work:
 
 ``plans``
-    ``key -> record`` — the published plan, serialized exactly like a
-    :meth:`PlanCache.spill <repro.engine.cache.PlanCache.spill>` line, so
-    spill files and stores are mutually convertible.
+    ``key -> record`` — the published plan as a ``repro.engine.plan/v1``
+    JSON record (:meth:`PreparedQuery.to_record
+    <repro.engine.prepared.PreparedQuery.to_record>`).
 ``claims``
     advisory **compile claims**: before compiling a missing key, a process
     claims it (``BEGIN IMMEDIATE`` write transaction), compiles outside
@@ -26,7 +26,9 @@ Three tables do the work:
     monotonic cross-process counters (hits / misses / publishes /
     compiles / races / stale claims) plus a mergeable
     ``engine.store.fetch_s`` histogram, so the dedup win survives the
-    worker pool and lands in the parent's registry and Prometheus output.
+    worker pool and lands in the parent's registry and Prometheus output
+    (:func:`store_traffic` turns two marks of them into one registry
+    delta).
 
 Budget accounting: every store round trip passes a
 :func:`repro.guard.checkpoint` (deadlines cancel store waits) and charges
@@ -52,20 +54,25 @@ from typing import Any, Callable, TYPE_CHECKING
 from .. import guard, obs
 from .._errors import ReproError
 from ..obs.histogram import Histogram
-from .cache import PlanCache, SPILL_SCHEMA
+from .cache import PlanCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .prepared import PreparedQuery
 
-__all__ = ["PlanStore", "StoreBackedCache", "STORE_SCHEMA"]
+__all__ = ["PlanStore", "StoreBackedCache", "STORE_SCHEMA", "store_traffic"]
 
 #: Store schema tag kept in the ``meta`` table; bump on incompatible changes.
 STORE_SCHEMA = "repro.engine.store/v1"
 
-#: ``stats`` table counter names (all monotonic).
-STAT_NAMES = (
-    "hits", "misses", "publishes", "compiles", "races", "stale_claims",
-)
+#: ``stats`` table counter name -> the obs counter it feeds (all monotonic).
+STAT_COUNTERS = {
+    "hits": "engine.store.hit",
+    "misses": "engine.store.miss",
+    "publishes": "engine.store.publish",
+    "compiles": "engine.store.compile",
+    "races": "engine.store.race",
+    "stale_claims": "engine.store.stale_claims",
+}
 
 #: ``stats`` row holding the serialized cross-process fetch histogram.
 _FETCH_HIST_ROW = "fetch_s"
@@ -217,7 +224,7 @@ class PlanStore:
                     (_FETCH_HIST_ROW,),
                 )
             )
-        return {name: int(rows.get(name, 0)) for name in STAT_NAMES}
+        return {name: int(rows.get(name, 0)) for name in STAT_COUNTERS}
 
     def fetch_hist_snapshot(self) -> dict[str, Any]:
         """The merged cross-process ``fetch_s`` histogram (as a dict)."""
@@ -230,22 +237,20 @@ class PlanStore:
             return Histogram("engine.store.fetch_s").as_dict()
         return json.loads(row[0])
 
-    # -- records -----------------------------------------------------------
-    def _decode(self, text: str) -> "PreparedQuery":
-        from .prepared import PlanProvenance, PreparedQuery
+    def traffic_mark(self) -> dict[str, Any]:
+        """A point-in-time mark of the store's traffic (see :func:`store_traffic`)."""
+        return {
+            "plans": len(self),
+            "stats": self.stats_snapshot(),
+            "fetch_s": self.fetch_hist_snapshot(),
+        }
 
-        record = json.loads(text)
-        if record.get("schema") != SPILL_SCHEMA:
-            raise ReproError(
-                f"{self.path}: plan record with unknown schema "
-                f"{record.get('schema')!r} (expected {SPILL_SCHEMA!r})"
-            )
-        plan = PreparedQuery.from_record(record)
-        provenance = plan.provenance
-        plan.provenance = PlanProvenance(
-            provenance.stages, provenance.compile_s, provenance.budget, "store"
-        )
-        return plan
+    # -- records -----------------------------------------------------------
+    @staticmethod
+    def _decode(text: str) -> "PreparedQuery":
+        from .prepared import PreparedQuery
+
+        return PreparedQuery.from_record(json.loads(text))
 
     def _read(self, key: str) -> str | None:
         with self._lock:
@@ -281,9 +286,7 @@ class PlanStore:
         """
         guard.checkpoint()
         guard.charge("store_ios")
-        record = plan.to_record()
-        record["schema"] = SPILL_SCHEMA
-        text = json.dumps(record, sort_keys=True)
+        text = json.dumps(plan.to_record(), sort_keys=True)
         with self._write():
             cursor = self._con.execute(
                 "INSERT OR IGNORE INTO plans (key, record) VALUES (?, ?)",
@@ -450,6 +453,46 @@ class PlanStore:
 
     def __repr__(self) -> str:
         return f"PlanStore({self.path!r}, plans={len(self)})"
+
+
+def store_traffic(
+    store: PlanStore, since: dict[str, Any]
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The store's traffic since the mark *since*, as an obs snapshot.
+
+    Worker registries die with their pool, so the store's own SQLite
+    stats are the one surviving record of cross-process traffic.  The
+    snapshot is shaped like a task telemetry snapshot — nonzero
+    ``engine.store.*`` counter deltas, the ``engine.store.plans`` gauge,
+    and the bucket-exact ``engine.store.fetch_s`` delta when any fetch
+    happened (min/max conservatively taken from the store's lifetime
+    extremes) — so :func:`repro.obs.merge_snapshot_into` folds it into a
+    registry.  Returns ``(snapshot, mark)``; passing *mark* as the next
+    *since* chains incremental deltas that never double-count.
+    """
+    mark = store.traffic_mark()
+    counters = {
+        metric: mark["stats"][name] - since["stats"][name]
+        for name, metric in STAT_COUNTERS.items()
+    }
+    snapshot: dict[str, Any] = {
+        "counters": {name: n for name, n in counters.items() if n},
+        "gauges": {"engine.store.plans": mark["plans"]},
+    }
+    before, after = since["fetch_s"], mark["fetch_s"]
+    fetches = Histogram("engine.store.fetch_s")
+    fetches.count = int(after.get("count", 0)) - int(before.get("count", 0))
+    if fetches.count:
+        fetches.sum = float(after.get("sum", 0.0)) - float(before.get("sum", 0.0))
+        before_buckets = before.get("buckets") or {}
+        for index, n in (after.get("buckets") or {}).items():
+            delta = int(n) - int(before_buckets.get(index, 0))
+            if delta:
+                fetches.buckets[int(index)] = delta
+        fetches.min = None if after.get("min") is None else float(after["min"])
+        fetches.max = None if after.get("max") is None else float(after["max"])
+        snapshot["histograms"] = {"engine.store.fetch_s": fetches.as_dict()}
+    return snapshot, mark
 
 
 class _ImmediateTxn:

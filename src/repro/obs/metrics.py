@@ -228,12 +228,8 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "engine.cache.hit": ("counter", "plan-cache lookups served from the cache"),
     "engine.cache.miss": ("counter", "plan-cache lookups that found no plan"),
     "engine.cache.eviction": ("counter", "plans evicted by the LRU size caps"),
-    "engine.cache.spilled": ("counter", "plans written to a JSONL spill file"),
-    "engine.cache.loaded": ("counter", "plans loaded from a JSONL spill file"),
     "engine.cache.entries": ("gauge", "plans currently held by the cache"),
     "engine.cache.cells": ("gauge", "total compiled cells held by the cache"),
-    "engine.cache.load_skipped": (
-        "counter", "unreadable spill-file lines skipped during a cache load"),
     "engine.store.hit": (
         "counter", "plan lookups served from the shared cross-process store"),
     "engine.store.miss": (

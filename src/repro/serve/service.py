@@ -1,11 +1,11 @@
 """The pool bridge: async facade over the engine's process workers.
 
-:class:`QueryService` owns the CPU side of the server — the
-``ProcessPoolExecutor`` running :func:`repro.engine.worker_entry` (the
-same worker entry the batch executor submits, so worker-process state:
-the per-pid plan-store adapter and warm in-memory caches, behaves
-identically under both front-ends) — and everything that must stay
-consistent across requests:
+:class:`QueryService` owns the CPU side of the server — a
+:class:`~repro.engine.pool.WorkerPool` running
+:func:`repro.engine.worker_entry` (the same pool and worker entry the
+batch executor uses, so worker-process state: the per-pid plan-store
+adapter and warm in-memory caches, behaves identically under both
+front-ends) — and everything that must stay consistent across requests:
 
 * **determinism** — a request's result record is computed exactly like
   the same row of a batch manifest: the per-task seed is
@@ -25,24 +25,34 @@ consistent across requests:
   shared store's cross-process stats are folded incrementally on demand
   (each ``/metrics`` scrape, and once at drain).
 
-A broken pool (a worker died mid-task) is rebuilt once per failure and
-the victim request gets a structured error record — the server keeps
-serving; it does not inherit the batch executor's retry/quarantine
-ladder because an interactive client re-sends for itself.
+A worker death never ends the server.  The broken pool is rebuilt once
+per failure (the first request to see the break wins the rebuild).  A
+request that was in flight on the dead pool gets a structured error
+record: the server does not inherit the batch executor's
+retry/quarantine ladder, because an interactive client re-sends for
+itself.  A request that finds the pool already broken at submit time (a
+worker died while the pool was idle) never ran, so it is dispatched
+once on the rebuilt pool instead.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .. import obs
-from ..engine import cache_outcome, task_key, task_seed, worker_entry
-from ..engine.executor import _fold_store_delta
-from ..engine.store import PlanStore
+from ..engine import (
+    PlanStore,
+    WorkerPool,
+    cache_outcome,
+    store_traffic,
+    task_key,
+    task_seed,
+    worker_entry,
+)
 from ..obs.aggregate import merge_snapshot_into
 from .coalesce import SingleFlight
 
@@ -68,7 +78,7 @@ class QueryService:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        self._pool = ProcessPoolExecutor(max_workers=max(1, config.workers))
+        self.pool = WorkerPool(config.workers)
         self._flights = SingleFlight()
         self.store: PlanStore | None = (
             PlanStore(config.plan_store) if config.plan_store else None
@@ -85,12 +95,8 @@ class QueryService:
         #: Hashes whose plans this server has already served — the batch
         #: executor's ``seen`` set, accumulated for the server's lifetime.
         self.seen: set[str] = set()
-        self._stats_last = (
-            self.store.stats_snapshot() if self.store is not None else None
-        )
-        self._hist_last = (
-            self.store.fetch_hist_snapshot() if self.store is not None
-            else None
+        self._traffic_mark = (
+            self.store.traffic_mark() if self.store is not None else None
         )
 
     # -- execution ---------------------------------------------------------
@@ -174,7 +180,7 @@ class QueryService:
         timeout: float | None,
         trace_ctx: Mapping[str, Any] | None = None,
     ) -> dict[str, Any]:
-        """One pool round trip; rebuilds the pool if a worker died on it."""
+        """One pool round trip; rebuilds the pool if a worker died."""
         base_seed = self.config.seed if seed is None else seed
         config = {
             "seed": task_seed(base_seed, index),
@@ -189,29 +195,29 @@ class QueryService:
         }
         if trace_ctx is not None:
             config["trace_ctx"] = dict(trace_ctx)
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        pool = self._pool
+        pool = self.pool
+        generation = pool.generation
         try:
-            return await loop.run_in_executor(
-                pool, worker_entry, (task, config)
-            )
+            try:
+                future = pool.submit(worker_entry, (task, config))
+            except BrokenExecutor:
+                # The pool broke while idle: nothing of this request ran,
+                # so it cannot run twice — rebuild and dispatch it once.
+                pool.rebuild(generation)
+                generation = pool.generation
+                future = pool.submit(worker_entry, (task, config))
+            return await asyncio.wrap_future(future)
         except BrokenExecutor:
             # The worker serving this task died (OOM kill, segfault).
             # Rebuild the pool so the server keeps serving, and answer
             # this request with a structured error — interactive clients
             # own their retries, unlike batch tasks.  Every request in
-            # flight on the dead pool raises BrokenExecutor; only the
-            # first one to get here rebuilds — the `self._pool is pool`
-            # check keeps the later ones from shutting down the freshly
-            # rebuilt healthy pool and cancelling the innocent requests
-            # already dispatched to it.
-            if self._pool is pool:
-                obs.add("engine.pool.rebuilds")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=max(1, self.config.workers)
-                )
-                pool.shutdown(wait=False, cancel_futures=True)
+            # flight on the dead pool raises BrokenExecutor; the
+            # generation makes only the first one rebuild, so the later
+            # ones cannot shut down the fresh pool and cancel the
+            # innocent requests already dispatched to it.
+            pool.rebuild(generation)
             return self._pool_death_record(task, config, started)
         except asyncio.CancelledError:
             # The rebuild's shutdown(cancel_futures=True) cancels work
@@ -220,8 +226,8 @@ class QueryService:
             # structured error (CancelledError would otherwise escape
             # _route's `except Exception` and kill the connection).  A
             # cancellation from anywhere else — the pool was never
-            # swapped out under us — is not ours to swallow.
-            if self._pool is pool:
+            # rebuilt under us — is not ours to swallow.
+            if pool.generation == generation:
                 raise
             return self._pool_death_record(task, config, started)
 
@@ -248,12 +254,13 @@ class QueryService:
         """
         if self.store is None:
             return
-        self._stats_last, self._hist_last = _fold_store_delta(
-            self.store, self._stats_last, self._hist_last
+        traffic, self._traffic_mark = store_traffic(
+            self.store, self._traffic_mark
         )
+        merge_snapshot_into(obs.REGISTRY, traffic)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        self.pool.close()
         if self.store is not None:
             self.store.close()

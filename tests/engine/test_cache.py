@@ -1,12 +1,9 @@
-"""PlanCache: LRU semantics, caps, counters, spill/load persistence."""
-
-import json
+"""PlanCache: LRU semantics, caps, counters."""
 
 import pytest
 
 from repro import obs
 from repro.engine import PlanCache, prepare
-from repro.engine.cache import SPILL_SCHEMA
 
 
 def plan_for(text: str, **kwargs):
@@ -95,90 +92,3 @@ class TestObsCounters:
         assert counts["engine.cache.hit"] == 1
         assert counts["engine.cache.eviction"] == 1
         assert counts["engine.cache.entries"] == 1
-
-
-class TestSpill:
-    def test_spill_load_roundtrip(self, tmp_path, triangle):
-        path = str(tmp_path / "plans.jsonl")
-        source = PlanCache()
-        source.put(triangle)
-        source.put(plan_for("EXISTS z . (z < x AND y < z)"))
-        assert source.spill(path) == 2
-
-        target = PlanCache()
-        assert target.load(path) == 2
-        assert set(target.keys()) == set(source.keys())
-        loaded = target.get(triangle.key)
-        assert loaded.volume() == triangle.volume()
-        assert loaded.provenance.source == "spill"
-
-    def test_load_skips_duplicates(self, tmp_path, triangle):
-        path = str(tmp_path / "plans.jsonl")
-        source = PlanCache()
-        source.put(triangle)
-        source.spill(path)
-        source.spill(path)  # append=True: two copies of the same record
-
-        target = PlanCache()
-        assert target.load(path) == 1
-        assert len(target) == 1
-
-    def test_spill_truncate(self, tmp_path, triangle):
-        path = str(tmp_path / "plans.jsonl")
-        cache = PlanCache()
-        cache.put(triangle)
-        cache.spill(path)
-        cache.spill(path, append=False)
-        with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 1
-        assert json.loads(lines[0])["schema"] == SPILL_SCHEMA
-
-    def test_load_skips_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"schema": "repro.engine.plan/v999"}) + "\n")
-        cache = PlanCache()
-        with pytest.warns(UserWarning, match="unknown plan schema"):
-            assert cache.load(str(path)) == 0
-        assert cache.stats.skipped == 1
-
-    def test_load_skips_bad_json(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{not json\n")
-        cache = PlanCache()
-        with pytest.warns(UserWarning, match="malformed plan line"):
-            assert cache.load(str(path)) == 0
-        assert cache.stats.skipped == 1
-
-    def test_load_skips_corrupt_lines_keeps_good_ones(self, tmp_path, triangle):
-        """One corrupt line must not make a whole warm spill unusable."""
-        path = tmp_path / "mixed.jsonl"
-        source = PlanCache()
-        source.put(triangle)
-        source.spill(str(path))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{broken json\n")
-            handle.write("[1, 2, 3]\n")
-            handle.write(json.dumps({"schema": "not/a/plan"}) + "\n")
-            handle.write(json.dumps(
-                {"schema": SPILL_SCHEMA, "kind": "volume"}) + "\n")
-            handle.write("\n")  # blank: ignored, not counted
-
-        target = PlanCache()
-        obs.enable_counting()
-        with pytest.warns(UserWarning):
-            assert target.load(str(path)) == 1
-        assert target.get(triangle.key).volume() == triangle.volume()
-        assert target.stats.skipped == 4
-        assert obs.REGISTRY.as_dict()["engine.cache.load_skipped"] == 4
-
-    def test_load_skips_unrebuildable_record(self, tmp_path):
-        """A schema-tagged record the plan cannot be rebuilt from skips too."""
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(
-            {"schema": SPILL_SCHEMA, "kind": "volume", "variables": ["x"]}
-        ) + "\n")
-        cache = PlanCache()
-        with pytest.warns(UserWarning, match="unloadable plan record"):
-            assert cache.load(str(path)) == 0
-        assert cache.stats.skipped == 1

@@ -92,18 +92,13 @@ class TestBatch:
         assert "engine.batch.tasks" in out
         assert "engine.cache." in out
 
-    def test_plan_cache_spill_and_reload(self, manifest, tmp_path):
-        spill = str(tmp_path / "plans.jsonl")
-        code, _, err = run_cli("batch", manifest, "--plan-cache", spill)
-        assert code == 0
-        assert "spilled" in err
-
-        DEFAULT_CACHE.clear()
-        code, out, err = run_cli("batch", manifest, "--plan-cache", spill)
-        assert code == 0
-        assert "loaded" in err
-        records = [json.loads(line) for line in out.splitlines() if line]
-        assert {r["status"] for r in records} == {"ok"}
+    def test_plan_cache_option_is_gone(self, manifest, tmp_path):
+        # Plans persist through --plan-store only; the old spill-file
+        # option is an unknown argument now.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("batch", manifest, "--plan-cache",
+                    str(tmp_path / "plans.jsonl"))
+        assert excinfo.value.code == 2
 
     def test_plan_store_prewarm_then_warm(self, manifest, tmp_path):
         store = str(tmp_path / "plans.sqlite")
@@ -128,15 +123,6 @@ class TestBatch:
         assert all(r["cache"]["misses"] == 0 for r in records)
         assert sum(r["cache"]["store_hits"] for r in records) == 2
         assert sum(r["cache"]["hits"] for r in records) == 2
-
-    def test_plan_store_excludes_plan_cache(self, manifest, tmp_path):
-        code, _, err = run_cli(
-            "batch", manifest,
-            "--plan-store", str(tmp_path / "s.sqlite"),
-            "--plan-cache", str(tmp_path / "c.jsonl"),
-        )
-        assert code == 2
-        assert "mutually exclusive" in err
 
     def test_compile_only_needs_a_destination(self, manifest):
         code, _, err = run_cli("batch", manifest, "--compile-only")

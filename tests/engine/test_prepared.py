@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro._errors import EvaluationError, QEError
+from repro._errors import EvaluationError, QEError, ReproError
 from repro.engine import PlanCache, PreparedQuery, prepare
 from repro.geometry import formula_volume_unit_cube
 from repro.geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
@@ -206,12 +206,19 @@ class TestPersistence:
         assert clone.variables == plan.variables
         assert clone.volume() == plan.volume()
         assert clone.witness == plan.witness
-        assert clone.provenance.source == "spill"
+        assert clone.provenance.source == "store"
 
     def test_record_roundtrip_decide(self):
         plan = prepare("EXISTS x . x*x = 2", kind="decide", cache=None)
         clone = PreparedQuery.from_record(plan.to_record())
         assert clone.decide() == plan.decide()
+
+    def test_record_with_unknown_schema_is_rejected(self):
+        record = prepare(TRIANGLE, cache=None).to_record()
+        assert record["schema"] == "repro.engine.plan/v1"
+        record["schema"] = "repro.engine.plan/v999"
+        with pytest.raises(ReproError, match="unknown schema"):
+            PreparedQuery.from_record(record)
 
     def test_record_is_jsonable(self):
         import json

@@ -14,6 +14,7 @@ from repro.engine import (
     content_hash,
     prepare,
     run_batch,
+    store_traffic,
 )
 from repro.engine import executor
 from repro.engine.canon import canonical_formula
@@ -373,3 +374,26 @@ class TestBatchIntegration:
         ]
         hist = obs.REGISTRY.histogram("engine.store.fetch_s", "")
         assert hist.count == len(FORMULAS)
+
+    def test_store_traffic_deltas_chain_without_double_counting(
+        self, store_path
+    ):
+        with PlanStore(store_path) as store:
+            plan = compile_plan(TRIANGLE)
+            mark = store.traffic_mark()
+            store.publish(plan)
+            store.fetch(plan.key)
+            store.fetch(key_of("x < 1/4"))
+            traffic, mark = store_traffic(store, mark)
+            assert traffic["counters"] == {
+                "engine.store.publish": 1,
+                "engine.store.hit": 1,
+                "engine.store.miss": 1,
+            }
+            assert traffic["gauges"] == {"engine.store.plans": 1}
+            assert traffic["histograms"]["engine.store.fetch_s"]["count"] == 1
+            # Nothing happened since the last mark: an empty delta.
+            traffic, _ = store_traffic(store, mark)
+            assert traffic == {
+                "counters": {}, "gauges": {"engine.store.plans": 1},
+            }

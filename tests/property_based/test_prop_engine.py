@@ -1,6 +1,6 @@
 """Property-based tests: prepared/cached evaluation equals cold evaluation.
 
-The engine's whole contract is that preparing, caching, spilling and
+The engine's whole contract is that preparing, caching, storing and
 reloading a plan are *transparent*: every evaluation agrees with the
 cold single-shot pipeline — exactly for volume and truth, bit-for-bit
 for Monte Carlo estimates, and in the reported mode tag under fallback.
@@ -102,7 +102,7 @@ def test_prepared_estimate_is_bitwise_cold(formula, seed):
 
 @settings(max_examples=15, deadline=None)
 @given(volume_queries())
-def test_cached_and_spilled_plans_agree(formula):
+def test_cached_and_stored_plans_agree(formula):
     cache = PlanCache()
     first = prepare(formula, VARS, cache=cache)
     # A canonical variant must hit the same entry, not recompile.

@@ -445,3 +445,64 @@ class TestMetricsEndpoint:
         assert metric_value(
             scrape(server), "repro_engine_store_compile_total"
         ) == metric_value(text, "repro_engine_store_compile_total")
+
+
+def live_children(pid: int) -> list[int]:
+    """The live (non-zombie) child processes of *pid*, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # After the parenthesised command name: state, ppid, ...
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.append(int(entry))
+    return children
+
+
+class TestWorkerDeath:
+    def test_sigkilled_worker_does_not_end_the_server(self, server_factory):
+        """A worker SIGKILLed while idle costs one rebuild, nothing more.
+
+        The executor SIGTERMs the surviving worker of a broken pool; that
+        signal must neither reach the server's own event loop (which
+        would read it as a drain request) nor be ignored by the worker.
+        """
+        server = server_factory("--workers", "2", "--no-access-log")
+        pid = server.proc.pid
+
+        def query(i: int) -> tuple[int, dict]:
+            return server.json("POST", "/v1/query", {
+                "op": "volume",
+                "formula": f"0 <= y AND {i}*y <= x AND x <= 1",
+            })
+
+        # Concurrent requests make the pool fork both of its workers.
+        with concurrent.futures.ThreadPoolExecutor(4) as clients:
+            for _ in range(10):
+                answers = list(clients.map(query, range(1, 5)))
+                assert all(status == 200 for status, _ in answers)
+                if len(live_children(pid)) == 2:
+                    break
+        victim, _ = live_children(pid)
+        os.kill(victim, signal.SIGKILL)
+        # The executor notices, flags itself broken, and reaps both workers.
+        assert wait_until(lambda: not live_children(pid), timeout=20)
+
+        assert server.proc.poll() is None
+        status, envelope = server.json("POST", "/v1/query", {
+            "op": "volume", "formula": "0 <= y AND y <= x AND x <= 1",
+        })
+        assert status == 200
+        assert envelope["result"]["status"] == "ok"
+        assert envelope["result"]["exact"] == "1/2"
+        assert metric_value(
+            scrape(server), "repro_engine_pool_rebuilds_total"
+        ) == 1
+        assert "received SIGTERM" not in server.stderr_text()
+        assert server.stop() == 0

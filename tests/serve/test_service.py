@@ -2,10 +2,11 @@
 
 When a worker dies, every request in flight on the pool raises
 ``BrokenExecutor`` — but only the *first* handler may rebuild.  A later
-handler that shut down ``self._pool`` again would be cancelling innocent
-requests already dispatched to the fresh pool, and the resulting
+handler that shut down the pool's executor again would be cancelling
+innocent requests already dispatched to the fresh one, and the resulting
 ``CancelledError`` (a BaseException) would sail through ``_route``'s
-``except Exception`` and kill the connection without a response.
+``except Exception`` and kill the connection without a response.  The
+tests swap a controllable fake in as the ``WorkerPool``'s executor.
 """
 
 import asyncio
@@ -23,12 +24,15 @@ TASK = {"id": "t", "op": "volume", "formula": "0 <= x AND x <= 1"}
 class FakePool:
     """An executor whose submitted futures the test controls."""
 
-    def __init__(self, exception=None):
+    def __init__(self, exception=None, submit_error=None):
         self.exception = exception
+        self.submit_error = submit_error
         self.futures: list[Future] = []
         self.shutdown_calls = 0
 
     def submit(self, fn, *args):
+        if self.submit_error is not None:
+            raise self.submit_error
         future: Future = Future()
         if self.exception is not None:
             future.set_exception(self.exception)
@@ -53,9 +57,9 @@ class TestBrokenPoolRebuild:
         async def go():
             obs.enable_counting()
             broken = FakePool(BrokenProcessPool("worker died"))
-            real = service._pool
+            real = service.pool.executor
             real.shutdown(wait=False)
-            service._pool = broken
+            service.pool.executor = broken
             records = await asyncio.gather(
                 service._dispatch(dict(TASK), 0, None, None),
                 service._dispatch(dict(TASK), 1, None, None),
@@ -68,8 +72,8 @@ class TestBrokenPoolRebuild:
             # replacement pool is alive and was never touched.
             assert broken.shutdown_calls == 1
             assert obs.REGISTRY.value("engine.pool.rebuilds") == 1
-            assert service._pool is not broken
-            assert not service._pool._shutdown_thread
+            assert service.pool.executor is not broken
+            assert not service.pool.executor._shutdown_thread
 
         asyncio.run(go())
 
@@ -79,13 +83,14 @@ class TestBrokenPoolRebuild:
         # the structured pool-death record, not leak CancelledError.
         async def go():
             stalled = FakePool()
-            real = service._pool
-            service._pool = stalled
+            service.pool.executor.shutdown(wait=False)
+            service.pool.executor = stalled
             dispatch = asyncio.ensure_future(
                 service._dispatch(dict(TASK), 0, None, None)
             )
             await asyncio.sleep(0)  # dispatch captured `stalled`
-            service._pool = real  # another handler already rebuilt
+            # Another handler already rebuilt.
+            service.pool.rebuild(service.pool.generation)
             stalled.futures[0].cancel()
             record = await dispatch
             assert record["status"] == "error"
@@ -98,7 +103,8 @@ class TestBrokenPoolRebuild:
         # it must keep propagating.
         async def go():
             stalled = FakePool()
-            service._pool = stalled
+            service.pool.executor.shutdown(wait=False)
+            service.pool.executor = stalled
             dispatch = asyncio.ensure_future(
                 service._dispatch(dict(TASK), 0, None, None)
             )
@@ -106,5 +112,24 @@ class TestBrokenPoolRebuild:
             stalled.futures[0].cancel()
             with pytest.raises(asyncio.CancelledError):
                 await dispatch
+
+        asyncio.run(go())
+
+    def test_broken_at_submit_rebuilds_and_runs_once(self, service):
+        # A worker that died while the pool was idle breaks the pool
+        # before this request reaches it: submit itself raises.  Nothing
+        # of the request ran, so it is dispatched on the rebuilt pool and
+        # answered normally instead of with a pool-death record.
+        async def go():
+            obs.enable_counting()
+            broken = FakePool(submit_error=BrokenProcessPool("idle death"))
+            service.pool.executor.shutdown(wait=False)
+            service.pool.executor = broken
+            record = await service._dispatch(dict(TASK), 0, None, None)
+            assert record["status"] == "ok"
+            assert record["exact"] == "1"
+            assert broken.shutdown_calls == 1
+            assert obs.REGISTRY.value("engine.pool.rebuilds") == 1
+            assert service.pool.executor is not broken
 
         asyncio.run(go())

@@ -102,20 +102,12 @@ def _demo(args: argparse.Namespace) -> None:
 
 
 def _volume(args: argparse.Namespace) -> None:
-    from repro.geometry import formula_volume_unit_cube
+    from repro.guard import robust_volume
     from repro.logic import parse
 
     formula = parse(args.formula)
     names = sorted(formula.free_variables())
     joined = ", ".join(names)
-    if args.fallback == "off":
-        with guard.govern(args.budget):
-            volume = formula_volume_unit_cube(formula, names)
-        print(f"VOL_I({args.formula}) over {joined} = {volume} = {float(volume)}")
-        return
-
-    from repro.guard import robust_volume
-
     result = robust_volume(
         formula, names, epsilon=args.epsilon, delta=args.delta,
         budget=args.budget, policy=args.fallback, rng=_rng(args.seed),
@@ -128,9 +120,10 @@ def _volume(args: argparse.Namespace) -> None:
             f"eps={result.epsilon:g}, delta={result.delta:g}, seed={args.seed})"
         )
     else:
+        tag = "" if args.fallback == "off" else f" (mode={result.mode})"
         print(
             f"VOL_I({args.formula}) over {joined} = {result.value} "
-            f"= {float(result.value)} (mode={result.mode})"
+            f"= {float(result.value)}{tag}"
         )
     for mode, error in result.attempts:
         print(f"  [{mode} abandoned: {error.resource} budget exceeded]",

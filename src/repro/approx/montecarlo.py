@@ -1,10 +1,10 @@
 """(epsilon, delta) Monte Carlo volume approximation.
 
-A thin layer over the hit-or-miss sampler of
-:mod:`repro.geometry.sampling` that chooses the sample size from the
-Hoeffding bound, giving a *per-query* (not uniform-in-parameters)
-probabilistic epsilon-approximation of VOL_I.  The uniform-over-parameters
-version (Theorem 4) is :class:`repro.core.witness.UniformVolumeApproximator`.
+A thin layer over :func:`repro.geometry.sampling.hoeffding_volume` (the
+hit-or-miss sampler sized by the Hoeffding bound), giving a *per-query*
+(not uniform-in-parameters) probabilistic epsilon-approximation of VOL_I.
+The uniform-over-parameters version (Theorem 4) is
+:class:`repro.core.witness.UniformVolumeApproximator`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..geometry.sampling import (
-    MonteCarloEstimate,
-    hit_or_miss_volume,
-    hoeffding_sample_size,
-)
+from ..geometry.sampling import MonteCarloEstimate, hoeffding_volume
 from ..logic.formulas import Formula
 from .. import obs
 
@@ -32,7 +28,5 @@ def approximate_vol_unit_cube(
     rng: np.random.Generator,
 ) -> MonteCarloEstimate:
     """Estimate VOL_I(formula) within *epsilon* with probability >= 1-delta."""
-    samples = hoeffding_sample_size(epsilon, delta)
-    obs.set_gauge("mc.hoeffding_sample_size", samples)
     with obs.span("approx.mc", epsilon=epsilon, delta=delta):
-        return hit_or_miss_volume(formula, variables, samples, rng, delta=delta)
+        return hoeffding_volume(formula, variables, epsilon, delta, rng)

@@ -30,7 +30,7 @@ import numpy as np
 from ..db.evaluation import expand_relations, resolve_adom_quantifiers
 from ..db.instance import FiniteInstance
 from ..geometry.decomposition import formula_volume, formula_volume_unit_cube
-from ..geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
+from ..geometry.sampling import hoeffding_volume
 from ..logic.formulas import Formula
 from ..logic.metrics import max_degree
 from ..logic.normalform import is_quantifier_free
@@ -121,8 +121,7 @@ def evaluate_vol(
                     "quantified polynomial bodies are not supported"
                 )
             expanded = qe_linear(expanded)
-        samples = hoeffding_sample_size(epsilon, delta)
-        return hit_or_miss_volume(
-            expanded, term.point_vars, samples, rng, delta=delta
+        return hoeffding_volume(
+            expanded, term.point_vars, epsilon, delta, rng
         ).estimate
     raise ApproximationError(f"unknown VOL strategy {strategy!r}")

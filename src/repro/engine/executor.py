@@ -6,9 +6,10 @@ A *manifest* is JSON-lines, one task per line::
     {"id": "q2", "op": "approx", "formula": "...", "epsilon": 0.02}
     {"id": "q3", "op": "decide", "formula": "EXISTS x . x*x = 2 AND 0 < x"}
 
-Supported ops: ``volume`` (exact, or budget-governed robust evaluation
-when a fallback policy is set), ``approx`` (Monte Carlo), and ``decide``
-(CAD decision of an FO + POLY sentence).  Optional per-task fields:
+Supported ops: ``volume`` (the degradation ladder
+:func:`repro.guard.robust_volume` under the batch's fallback policy:
+exact only with ``off``), ``approx`` (Monte Carlo), and ``decide`` (CAD
+decision of an FO + POLY sentence).  Optional per-task fields:
 ``variables`` (evaluation order), ``box`` (per-variable ``[low, high]``
 rational bounds), ``epsilon`` / ``delta`` (approximation targets).
 
@@ -43,8 +44,8 @@ Execution contract:
   jitter re-dispatches only the unfinished tasks.  Retries are governed
   by a per-task :class:`~repro.guard.Budget` retry budget (``max_retries``); a
   task that keeps killing pools is *quarantined* with a structured
-  ``"status": "quarantined"`` record (optionally answered by the
-  in-process MC ladder when a fallback policy is set) and the batch
+  ``"status": "quarantined"`` record (optionally answered in-process by
+  the ladder's Monte Carlo rung when a fallback policy is set) and the batch
   continues.  With ``journal=PATH`` every completed task is durably
   appended to a ``repro.engine.journal/v1`` file and ``resume=True``
   replays it, re-running only the remainder — byte-identical to an
@@ -84,14 +85,16 @@ from concurrent.futures import (
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from .. import guard, obs
+from .. import obs
 from .._errors import ReproError
 from ..guard.budget import Budget
 from ..guard.errors import BudgetExceeded, RetryBudgetExceeded
+from ..guard.fallback import robust_volume
+from .cache import DEFAULT_CACHE
 from .chaos import ChaosPlan, parse_chaos
 from .journal import Journal, open_journal
 from .pool import WorkerPool
-from .prepared import prepare
+from .prepared import PreparedQuery, plan_identity, prepare
 from .store import PlanStore, StoreBackedCache, store_traffic
 
 __all__ = [
@@ -131,25 +134,24 @@ def batch_trace_ctx(base_seed: int, index: int) -> dict[str, Any]:
 def task_key(task: Mapping[str, Any]) -> str | None:
     """The content hash :func:`prepare` will key *task*'s plan under.
 
-    Computed by canonicalization alone — no QE, CAD, or decomposition —
-    so it is cheap enough to call for every task of a manifest.  ``None``
-    when the formula does not parse (such a task errors at execution and
-    never touches a cache).  Used to seed shard runs with the keys of
-    skipped prefix tasks, keeping cache provenance shard-invariant.
+    Computed by :func:`~repro.engine.prepared.plan_identity` — parse and
+    canonicalization alone, no QE, CAD, or decomposition — so it is cheap
+    enough to call for every task of a manifest.  ``None`` when the
+    formula does not parse (such a task errors at execution and never
+    touches a cache).  Used to seed shard runs with the keys of skipped
+    prefix tasks, keeping cache provenance shard-invariant, and by serve's
+    compile coalescing.
     """
     from ..logic.parser import parse
-    from .canon import canonical_formula, content_hash
 
+    if task.get("op") == "decide":
+        variables, kind = (), "decide"
+    else:
+        variables, kind = task.get("variables"), "volume"
     try:
-        canonical = canonical_formula(parse(task["formula"]))
+        return plan_identity(parse(task["formula"]), variables, kind)[2]
     except Exception:  # noqa: BLE001 - an unkeyable task never hits a cache
         return None
-    if task.get("op") == "decide":
-        return content_hash(canonical, (), "decide")
-    variables = task.get("variables")
-    if variables is None:
-        variables = tuple(sorted(canonical.free_variables()))
-    return content_hash(canonical, tuple(variables), "volume")
 
 
 def _as_fraction(value: Any) -> Fraction:
@@ -329,89 +331,67 @@ def _dispatch(
     # Batch-observed tasks compile privately: shared-cache (and
     # shared-store) hits depend on worker scheduling, and per-task batch
     # telemetry must not (see module docstring and obs_shared_cache).
-    cache: dict[str, Any] = (
-        {"cache": None} if private_compile
-        else {"cache": store} if store is not None
-        else {}
+    cache = (
+        None if private_compile
+        else store if store is not None
+        else DEFAULT_CACHE
     )
+
+    if op == "volume" and not compile_only:
+        result = robust_volume(
+            task["formula"], variables, epsilon=epsilon, delta=delta,
+            budget=budget, policy=fallback, box=box, rng=_rng(seed),
+            cache=cache,
+        )
+        out = _plan_fields(result.plan) if result.plan is not None else {}
+        if result.mode == "approximate":
+            out.update(_mc_fields(result.value, result, epsilon, delta))
+        else:
+            out.update(value=float(result.value), exact=str(result.value),
+                       mode=result.mode)
+        if result.attempts:
+            out["attempts"] = [
+                [mode, error.resource] for mode, error in result.attempts
+            ]
+        return out
 
     if op == "decide":
         plan = prepare(task["formula"], (), kind="decide", budget=budget,
-                       **cache)
-        if compile_only:
-            return {"cached_key": plan.key, "cells": plan.cell_count(),
-                    "mode": "compile-only"}
-        return {"value": plan.decide(), "mode": "exact", "cached_key": plan.key}
-
-    try:
-        plan = prepare(task["formula"], variables, budget=budget, **cache)
-    except BudgetExceeded as error:
-        if compile_only or op != "volume" or fallback == "off":
-            raise
-        # Compilation itself exhausted the budget.  Degrade the same way
-        # guard.robust_volume does: a quantifier-free matrix can still be
-        # sampled; a query whose QE alone blows the budget raises again.
-        from ..guard.fallback import robust_volume as cold_robust
-        from ..logic.parser import parse
-
-        result = cold_robust(
-            parse(task["formula"]), variables,
-            epsilon=epsilon, delta=delta, budget=budget,
-            policy="approx-only", box=box, rng=_rng(seed),
-        )
-        return {
-            "value": float(result.value),
-            "mode": result.mode,
-            "confidence_radius": result.confidence_radius,
-            "samples": result.samples,
-            "epsilon": epsilon,
-            "delta": delta,
-            "attempts": [["exact", error.resource]],
-        }
-    out: dict[str, Any] = {"cached_key": plan.key, "cells": plan.cell_count()}
-    if compile_only:
-        out["mode"] = "compile-only"
-        return out
-
-    if op == "approx":
-        estimate = plan.approx_volume(epsilon, delta, rng=_rng(seed), box=box)
-        out.update(
-            value=estimate.estimate,
-            mode="approximate",
-            confidence_radius=estimate.confidence_radius,
-            samples=estimate.samples,
-            epsilon=epsilon,
-            delta=delta,
-        )
-        return out
-
-    # op == "volume"
-    if fallback == "off":
-        if budget is not None:
-            budget.reset_consumed()
-        with guard.govern(budget):
-            value = plan.volume(box)
-        out.update(value=float(value), exact=str(value), mode="exact")
-        return out
-    result = plan.robust_volume(
-        epsilon=epsilon, delta=delta, budget=budget, policy=fallback,
-        box=box, rng=_rng(seed),
-    )
-    out.update(value=float(result.value), mode=result.mode)
-    if result.mode == "approximate":
-        out.update(
-            confidence_radius=result.confidence_radius,
-            samples=result.samples,
-            epsilon=epsilon,
-            delta=delta,
-        )
+                       cache=cache)
     else:
-        out["exact"] = str(result.value)
-    if result.attempts:
-        out["attempts"] = [
-            [mode, error.resource] for mode, error in result.attempts
-        ]
-    return out
+        plan = prepare(task["formula"], variables, budget=budget, cache=cache)
+    if compile_only:
+        return {**_plan_fields(plan), "mode": "compile-only"}
+    if op == "decide":
+        return {"value": plan.decide(), "mode": "exact", "cached_key": plan.key}
+    # op == "approx"
+    estimate = plan.approx_volume(epsilon, delta, rng=_rng(seed), box=box)
+    return {**_plan_fields(plan),
+            **_mc_fields(estimate.estimate, estimate, epsilon, delta)}
+
+
+def _plan_fields(plan: PreparedQuery) -> dict[str, Any]:
+    """The plan identity every compiled row carries."""
+    return {"cached_key": plan.key, "cells": plan.cell_count()}
+
+
+def _mc_fields(
+    value: float, estimate: Any, epsilon: float, delta: float
+) -> dict[str, Any]:
+    """The Monte Carlo fields of every approximate row.
+
+    *estimate* (a :class:`~repro.geometry.sampling.MonteCarloEstimate` or
+    an approximate :class:`~repro.guard.fallback.RobustResult`) supplies
+    the confidence radius and sample count.
+    """
+    return {
+        "value": float(value),
+        "mode": "approximate",
+        "confidence_radius": estimate.confidence_radius,
+        "samples": estimate.samples,
+        "epsilon": epsilon,
+        "delta": delta,
+    }
 
 
 #: One store adapter per ``(path, pid)``: the SQLite connection must not
@@ -871,15 +851,14 @@ class _BatchRunner:
     ) -> None:
         """Best-effort in-process MC answer for a quarantined volume task.
 
-        Runs in the *parent* under a tight budget — the task already
+        Runs :func:`~repro.guard.robust_volume` in the *parent* under a
+        tight budget with the ``approx-only`` policy — the task already
         killed workers, so this is opt-in (a fallback policy must be set)
-        and sampling-only: no QE/CAD compile paths, which is where
-        runaway tasks live.  The record stays ``"quarantined"`` either
-        way; a successful fallback adds the estimate fields.
+        and skips the exact rungs' compile paths, which is where runaway
+        tasks live (only QE of a quantified formula runs, under the
+        budget).  The record stays ``"quarantined"`` either way; a
+        successful fallback adds the estimate fields.
         """
-        from ..guard.fallback import robust_volume as cold_robust
-        from ..logic.parser import parse
-
         timeout = self.config.get("timeout")
         deadline = min(5.0, timeout) if timeout is not None else 5.0
         budget = Budget(
@@ -888,8 +867,8 @@ class _BatchRunner:
         epsilon = task.get("epsilon", self.epsilon)
         delta = task.get("delta", self.delta)
         try:
-            estimate = cold_robust(
-                parse(task["formula"]), task.get("variables"),
+            estimate = robust_volume(
+                task["formula"], task.get("variables"),
                 epsilon=epsilon, delta=delta, budget=budget,
                 policy="approx-only", box=task.get("box"), rng=_rng(seed),
             )
@@ -898,14 +877,7 @@ class _BatchRunner:
                 f"{type(error).__name__}: {error}"
             )
             return
-        result.update(
-            value=float(estimate.value),
-            mode=estimate.mode,
-            confidence_radius=estimate.confidence_radius,
-            samples=estimate.samples,
-            epsilon=epsilon,
-            delta=delta,
-        )
+        result.update(_mc_fields(estimate.value, estimate, epsilon, delta))
         result["quarantine"]["fallback"] = "in-process"
         obs.add("engine.quarantine.fallbacks")
 

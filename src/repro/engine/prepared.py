@@ -5,8 +5,9 @@ cell decomposition (and, for decision plans, CAD) — depends only on the
 *shape* of a query, not on the region or instance it is evaluated
 against.  :func:`prepare` pays that cost once and returns a
 :class:`PreparedQuery` whose evaluations (exact volume over a clip box,
-point membership, Monte Carlo estimation, budget-governed robust
-evaluation) reuse the compiled artifacts.
+point membership, Monte Carlo estimation) reuse the compiled artifacts;
+budget-governed degradation is :func:`repro.guard.robust_volume`, whose
+exact rung compiles through :func:`prepare`.
 
 Plans carry provenance: the compile stages that ran with their
 durations, the resource consumption charged against the compile-time
@@ -29,8 +30,6 @@ from ..geometry.decomposition import clip_cells, formula_to_cells
 from ..geometry.polyhedron import Polyhedron
 from ..geometry.volume import union_volume
 from ..guard.budget import Budget
-from ..guard.errors import BudgetExceeded
-from ..guard.fallback import RobustResult
 from ..logic.formulas import Formula
 from ..logic.metrics import max_degree
 from ..logic.normalform import is_quantifier_free
@@ -40,7 +39,7 @@ from ..qe.linear import LinConstraint
 from .canon import canonical_formula, content_hash
 from .cache import DEFAULT_CACHE, PlanCache
 
-__all__ = ["PLAN_SCHEMA", "PlanProvenance", "PreparedQuery", "prepare"]
+__all__ = ["PLAN_SCHEMA", "PlanProvenance", "PreparedQuery", "plan_identity", "prepare"]
 
 #: Schema tag of a serialized plan record; bump on incompatible changes.
 PLAN_SCHEMA = "repro.engine.plan/v1"
@@ -174,70 +173,15 @@ class PreparedQuery:
         prepared and unprepared estimates agree bit-for-bit.
         """
         self._require("approx_volume")
-        from ..geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
+        from ..geometry.sampling import hoeffding_volume
 
-        if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng(0)
-        samples = hoeffding_sample_size(epsilon, delta)
-        float_box = [(float(low), float(high)) for low, high in self._box(box)]
         obs.add("engine.eval.approx")
         start = time.perf_counter()
-        estimate = hit_or_miss_volume(
-            self.qf, self.variables, samples, rng, box=float_box, delta=delta
+        estimate = hoeffding_volume(
+            self.qf, self.variables, epsilon, delta, rng, self._box(box)
         )
         obs.observe_value("engine.query.mc_s", time.perf_counter() - start)
         return estimate
-
-    def robust_volume(
-        self,
-        *,
-        epsilon: float = 0.05,
-        delta: float = 0.05,
-        budget: Budget | None = None,
-        policy: str = "auto",
-        box: Sequence[tuple[Fraction, Fraction]] | None = None,
-        rng=None,
-    ) -> RobustResult:
-        """Budget-governed evaluation with the guard's degradation ladder.
-
-        Like :func:`repro.guard.robust_volume`, but the exact rung reuses
-        the compiled cells (QE and decomposition are already paid), so
-        only clipping, union volume, and — on exhaustion — Monte Carlo
-        run under the budget.  Modes: ``exact`` or ``approximate``.
-        """
-        self._require("robust_volume")
-        if policy not in ("off", "auto", "approx-only"):
-            raise EvaluationError(f"unknown fallback policy {policy!r}")
-        budget = budget if budget is not None else guard.active()
-        attempts: list[tuple[str, BudgetExceeded]] = []
-        with obs.span("engine.robust_volume", policy=policy):
-            if policy != "approx-only":
-                try:
-                    if budget is not None:
-                        budget.reset_consumed()
-                    with guard.govern(budget):
-                        value = self.volume(box)
-                    obs.observe_value("guard.fallback.attempts", len(attempts))
-                    return RobustResult(value, "exact", attempts=attempts)
-                except BudgetExceeded as error:
-                    attempts.append(("exact", error))
-                    if policy == "off":
-                        raise
-                    obs.add("guard.fallback_transitions")
-            with guard.suspend():
-                estimate = self.approx_volume(epsilon, delta, rng=rng, box=box)
-        obs.observe_value("guard.fallback.attempts", len(attempts))
-        return RobustResult(
-            estimate.estimate,
-            "approximate",
-            confidence_radius=estimate.confidence_radius,
-            samples=estimate.samples,
-            epsilon=epsilon,
-            delta=delta,
-            attempts=attempts,
-        )
 
     def decide(self) -> bool:
         """The compile-time CAD decision of a ``decide`` plan."""
@@ -357,6 +301,24 @@ class _StageClock:
         return time.perf_counter() - self.started
 
 
+def plan_identity(
+    formula: Formula, variables: Sequence[str] | None, kind: str
+) -> tuple[Formula, tuple[str, ...], str]:
+    """``(canonical formula, evaluation variables, content hash)`` of a plan.
+
+    The one keying rule: :func:`prepare` files plans under this hash, and
+    :func:`repro.engine.executor.task_key` predicts it without compiling.
+    ``variables=None`` means the sorted free variables of the canonical
+    formula (none for a ``decide`` sentence).
+    """
+    canonical = canonical_formula(formula)
+    if variables is None:
+        free = () if kind == "decide" else canonical.free_variables()
+        variables = sorted(free)
+    variables = tuple(variables)
+    return canonical, variables, content_hash(canonical, variables, kind)
+
+
 def prepare(
     query: "Formula | str",
     variables: Sequence[str] | None = None,
@@ -397,15 +359,9 @@ def prepare(
         formula = query
 
     start = time.perf_counter()
-    canonical = canonical_formula(formula)
+    canonical, variables, key = plan_identity(formula, variables, kind)
     text = formula_to_str(canonical)
     clock.stage("canonicalize", start)
-
-    if variables is None:
-        variables = tuple(sorted(canonical.free_variables()))
-    else:
-        variables = tuple(variables)
-    key = content_hash(canonical, variables, kind)
 
     plan_cache: PlanCache | None
     plan_cache = DEFAULT_CACHE if cache is _SHARED else cache  # type: ignore[assignment]

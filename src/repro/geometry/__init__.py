@@ -22,6 +22,7 @@ from .sampling import (
     exact_membership,
     hit_or_miss_volume,
     hoeffding_sample_size,
+    hoeffding_volume,
 )
 from .triangulate import (
     convex_hull_volume_float,
@@ -56,6 +57,7 @@ __all__ = [
     "exact_membership",
     "hit_or_miss_volume",
     "hoeffding_sample_size",
+    "hoeffding_volume",
     "MonteCarloEstimate",
     "triangle_area",
     "simplex_volume",

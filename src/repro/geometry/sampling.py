@@ -37,6 +37,7 @@ __all__ = [
     "exact_membership",
     "hit_or_miss_volume",
     "hoeffding_sample_size",
+    "hoeffding_volume",
     "MonteCarloEstimate",
 ]
 
@@ -180,6 +181,30 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
     if not (0 < epsilon < 1) or not (0 < delta < 1):
         raise ApproximationError("epsilon and delta must lie in (0, 1)")
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
+
+
+def hoeffding_volume(
+    formula: Formula,
+    variables: Sequence[str],
+    epsilon: float,
+    delta: float,
+    rng: np.random.Generator | None = None,
+    box: Sequence[tuple[Fraction | float, Fraction | float]] | None = None,
+) -> MonteCarloEstimate:
+    """The (epsilon, delta) hit-or-miss estimate of ``formula`` in ``box``.
+
+    Draws :func:`hoeffding_sample_size` points, so the estimate errs by
+    less than epsilon (times the box volume) with probability >= 1-delta.
+    Every Monte Carlo volume estimate in the package goes through here.
+    ``rng=None`` samples from ``default_rng(0)``; ``box=None`` is I^n.
+    """
+    samples = hoeffding_sample_size(epsilon, delta)
+    obs.set_gauge("mc.hoeffding_sample_size", samples)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if box is not None:
+        box = [(float(low), float(high)) for low, high in box]
+    return hit_or_miss_volume(formula, variables, samples, rng, box=box, delta=delta)
 
 
 #: Points drawn per batch between budget checkpoints.

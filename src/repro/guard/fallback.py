@@ -2,36 +2,44 @@
 
 The paper's Section 3 lesson is that exact aggregation can be astronomically
 expensive while approximation stays cheap; this module operationalises it.
-:func:`robust_volume` tries, in order:
+:func:`robust_volume` is the one ladder every front-end runs (``repro
+volume``, batch and serve volume rows, the batch quarantine fallback).  It
+tries, in order:
 
-1. **exact** — the Theorem-3 pipeline (QE with feasibility pruning, convex
-   decomposition, exact union volume);
-2. **exact-coarse** — the same exact pipeline with the Fourier-Motzkin
+1. **exact** — compile the query with :func:`repro.engine.prepare` (QE with
+   feasibility pruning, convex decomposition; through the caller's plan
+   cache, if any) and take the plan's exact union volume over the box;
+2. **exact-coarse** — recompile afresh with the Fourier-Motzkin
    feasibility prune disabled (cheaper per step, still exact; the A1
    ablation benchmark measures this trade);
 3. **approximate** — Monte Carlo hit-or-miss sampling sized from
    ``(epsilon, delta)`` by the Hoeffding bound, with a reported confidence
-   radius.
+   radius.  It samples the quantifier-free matrix of a plan an exact rung
+   compiled, or else eliminates quantifiers itself (under the budget).
 
 Rungs 1 and 2 run under the given :class:`~repro.guard.budget.Budget`
 (countable consumption is reset between rungs; the wall-clock deadline is
-absolute).  Rung 3 runs with the budget *suspended*: its cost is fixed by
+absolute).  Sampling runs with the budget *suspended*: its cost is fixed by
 ``(epsilon, delta)``, and it must not be killed by the deadline that
 forced the fallback.  The result carries ``mode`` in ``{"exact",
-"exact-coarse", "approximate"}`` plus the exhaustion errors of the rungs
-that failed.
+"exact-coarse", "approximate"}``, the exhaustion errors of the rungs that
+failed, and the first plan a rung compiled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from .._errors import ApproximationError
 from .budget import Budget, active, govern, suspend
 from .errors import BudgetExceeded
+
+if TYPE_CHECKING:
+    from ..engine.prepared import PreparedQuery
+    from ..logic.formulas import Formula
 
 __all__ = ["POLICIES", "RobustResult", "robust_volume"]
 
@@ -48,7 +56,9 @@ class RobustResult:
     ``exact`` or ``exact-coarse`` and a float estimate when ``mode`` is
     ``approximate``; ``confidence_radius`` is ``None`` for exact modes.
     ``attempts`` lists ``(mode, error)`` for every rung that exhausted its
-    budget before the returned one succeeded.
+    budget before the returned one succeeded.  ``plan`` is the first
+    :class:`~repro.engine.PreparedQuery` a rung compiled (``None`` when
+    none got that far).
     """
 
     value: "Fraction | float"
@@ -58,13 +68,14 @@ class RobustResult:
     epsilon: float | None = None
     delta: float | None = None
     attempts: list[tuple[str, BudgetExceeded]] = field(default_factory=list)
+    plan: PreparedQuery | None = None
 
     def __float__(self) -> float:
         return float(self.value)
 
 
 def robust_volume(
-    formula,
+    query: Formula | str,
     variables: Sequence[str] | None = None,
     *,
     epsilon: float = 0.05,
@@ -73,35 +84,48 @@ def robust_volume(
     policy: str = "auto",
     box: Sequence[tuple[Fraction, Fraction]] | None = None,
     rng=None,
+    cache=None,
 ) -> RobustResult:
-    """VOL of *formula* over *box* (default: the unit cube, i.e. VOL_I),
-    degrading from exact to approximate as the budget allows.
+    """VOL of *query* (a formula or its text) over *box* (default: the unit
+    cube, i.e. VOL_I), degrading from exact to approximate as the budget
+    allows.
 
-    ``budget=None`` uses the budget already active in this context, if
-    any; with no budget at all the exact rung runs ungoverned (and the
-    ladder only matters for ``policy="approx-only"``).
+    ``variables`` fixes the dimension order (default: sorted free
+    variables).  ``cache`` is the plan cache the exact rung compiles
+    through (a :class:`~repro.engine.PlanCache` or store-backed cache);
+    ``None`` compiles afresh.  ``budget=None`` uses the budget already
+    active in this context, if any; with no budget at all the exact rung
+    runs ungoverned (and the ladder only matters for
+    ``policy="approx-only"``).
     """
     if policy not in POLICIES:
         raise ApproximationError(
             f"unknown fallback policy {policy!r}; one of {POLICIES}"
         )
-    if variables is None:
-        variables = sorted(formula.free_variables())
-    variables = tuple(variables)
-    if box is None:
-        box = [(Fraction(0), Fraction(1))] * len(variables)
-
     budget = budget if budget is not None else active()
     attempts: list[tuple[str, BudgetExceeded]] = []
+    plan = None
 
     with obs.span(
         "guard.robust_volume", policy=policy,
         **(budget.limits() if budget is not None else {}),
     ) as span:
         if policy != "approx-only":
-            for mode, prune in (("exact", True), ("exact-coarse", False)):
+            from ..engine.prepared import prepare
+
+            rungs = (("exact", cache, True), ("exact-coarse", None, False))
+            for mode, rung_cache, prune in rungs:
+                if budget is not None:
+                    budget.reset_consumed()
                 try:
-                    value = _exact_volume(formula, variables, box, budget, prune)
+                    # prepare() governs its own cache lookup and compile.
+                    compiled = prepare(
+                        query, variables, cache=rung_cache, budget=budget,
+                        prune=prune,
+                    )
+                    plan = plan or compiled
+                    with govern(budget):
+                        value = compiled.volume(box)
                 except BudgetExceeded as error:
                     attempts.append((mode, error))
                     if policy == "off":
@@ -110,10 +134,10 @@ def robust_volume(
                     continue
                 span.set(mode=mode)
                 obs.observe_value("guard.fallback.attempts", len(attempts))
-                return RobustResult(value, mode, attempts=attempts)
+                return RobustResult(value, mode, attempts=attempts, plan=plan)
 
         result = _approximate_volume(
-            formula, variables, box, budget, epsilon, delta, rng
+            query, variables, box, budget, epsilon, delta, rng, plan
         )
         result.attempts = attempts
         span.set(mode="approximate")
@@ -121,42 +145,34 @@ def robust_volume(
         return result
 
 
-def _exact_volume(formula, variables, box, budget, prune: bool) -> Fraction:
-    from ..geometry.decomposition import formula_volume
-
-    if budget is not None:
-        budget.reset_consumed()
-    with govern(budget):
-        return formula_volume(formula, variables, box=box, prune=prune)
-
-
 def _approximate_volume(
-    formula, variables, box, budget, epsilon, delta, rng
+    query, variables, box, budget, epsilon, delta, rng, plan
 ) -> RobustResult:
-    from ..geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
-    from ..logic.normalform import is_quantifier_free
+    from ..geometry.sampling import hoeffding_volume
 
-    # The sampler needs a quantifier-free formula.  Quantifier elimination
-    # is exact work, so it stays *under* the budget (a query whose QE alone
-    # exhausts the budget cannot be approximated by this ladder either).
-    if not is_quantifier_free(formula):
-        from ..qe.fourier_motzkin import qe_linear
+    if plan is not None:
+        formula, variables = plan.qf, plan.variables
+    else:
+        from ..logic.normalform import is_quantifier_free
+        from ..logic.parser import parse
 
-        if budget is not None:
-            budget.reset_consumed()
-        with govern(budget):
-            formula = qe_linear(formula)
+        formula = parse(query) if isinstance(query, str) else query
+        if variables is None:
+            variables = sorted(formula.free_variables())
+        # The sampler needs a quantifier-free formula.  Quantifier
+        # elimination is exact work, so it stays *under* the budget (a
+        # query whose QE alone exhausts the budget cannot be approximated
+        # by this ladder either).
+        if not is_quantifier_free(formula):
+            from ..qe.fourier_motzkin import qe_linear
 
-    samples = hoeffding_sample_size(epsilon, delta)
-    if rng is None:
-        import numpy as np
+            if budget is not None:
+                budget.reset_consumed()
+            with govern(budget):
+                formula = qe_linear(formula)
 
-        rng = np.random.default_rng(0)
-    float_box = [(float(low), float(high)) for low, high in box]
     with suspend():
-        estimate = hit_or_miss_volume(
-            formula, variables, samples, rng, box=float_box, delta=delta
-        )
+        estimate = hoeffding_volume(formula, variables, epsilon, delta, rng, box)
     return RobustResult(
         estimate.estimate,
         "approximate",
@@ -164,4 +180,5 @@ def _approximate_volume(
         samples=estimate.samples,
         epsilon=epsilon,
         delta=delta,
+        plan=plan,
     )

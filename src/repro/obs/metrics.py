@@ -206,7 +206,9 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "mc.samples": ("counter", "hit-or-miss sample points drawn"),
     "mc.hits": ("counter", "hit-or-miss sample points inside the set"),
     "mc.hoeffding_sample_size": (
-        "gauge", "last Hoeffding sample size chosen from (epsilon, delta)"),
+        "gauge",
+        "Hoeffding sample size of the last Monte Carlo estimate, chosen "
+        "from (epsilon, delta)"),
     "km.sample_size": ("gauge", "last KM construction sample size M"),
     "km.atoms": ("gauge", "last KM formula-size lower bound: atoms"),
     "km.quantifiers": ("gauge", "last KM formula-size lower bound: quantifiers"),

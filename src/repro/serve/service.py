@@ -70,7 +70,6 @@ class ServiceConfig:
     fallback: str = "off"
     epsilon: float = 0.05
     delta: float = 0.05
-    collect_obs: bool = True
 
 
 class QueryService:
@@ -189,7 +188,7 @@ class QueryService:
             "fallback": self.config.fallback,
             "epsilon": self.config.epsilon,
             "delta": self.config.delta,
-            "collect_obs": self.config.collect_obs,
+            "collect_obs": True,
             "obs_shared_cache": True,
             "plan_store": self.config.plan_store,
         }

@@ -15,6 +15,13 @@ def strip_timing(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "elapsed_s"}
 
 
+def _walk(spans):
+    """Every span of a serialized span forest, depth first."""
+    for span in spans:
+        yield span
+        yield from _walk(span.get("children", ()))
+
+
 class TestTaskSeed:
     def test_deterministic(self):
         assert task_seed(42, 3) == task_seed(42, 3)
@@ -93,12 +100,12 @@ class TestExecuteTask:
         assert "error" in result
 
     def test_unexpected_exception_keeps_type_and_traceback(self, monkeypatch):
-        from repro.engine import executor
-
         def boom(*args, **kwargs):
             raise KeyError("x")
 
-        monkeypatch.setattr(executor, "prepare", boom)
+        # The volume row compiles inside the guard ladder, which looks
+        # prepare up in its home module.
+        monkeypatch.setattr("repro.engine.prepared.prepare", boom)
         task = normalize_task({"formula": TRIANGLE}, 0)
         result = execute_task(task, seed=0)
         assert result["status"] == "error"
@@ -144,6 +151,29 @@ class TestExecuteTask:
         assert result["status"] == "ok"
         assert result["mode"] == "approximate"
         assert result["attempts"]
+
+    def test_compile_trip_degrades_to_the_coarse_exact_rung(self):
+        # One injected trip kills the exact rung's compile; the row must
+        # walk the same ladder as `repro volume` and stay exact.
+        from repro.guard import testing
+
+        task = normalize_task({"formula": TRIANGLE}, 0)
+        with testing.trip_after(1, resource="cells", times=1):
+            result = execute_task(task, seed=0, fallback="auto")
+        assert result["status"] == "ok"
+        assert result["mode"] == "exact-coarse"
+        assert result["exact"] == "1/2"
+        assert result["attempts"] == [["exact", "cells"]]
+
+    def test_approx_only_row_skips_compilation(self):
+        # approx-only skips the exact rungs, so nothing is compiled (no
+        # plan fields) and a nonlinear set is sampled like the CLI does.
+        task = normalize_task({"formula": "x*x + y*y < 1", "epsilon": 0.2}, 0)
+        result = execute_task(task, seed=0, fallback="approx-only")
+        assert result["status"] == "ok"
+        assert result["mode"] == "approximate"
+        assert "cached_key" not in result and "attempts" not in result
+        assert abs(result["value"] - 0.785) <= result["confidence_radius"]
 
 
 class TestRunBatch:
@@ -201,7 +231,10 @@ class TestCollectObs:
         tri = results[0]["obs"]
         assert tri["counters"]["engine.compile"] == 1
         assert tri["histograms"]["engine.plan.compile_s"]["count"] == 1
-        assert any(s["name"] == "engine.compile" for s in tri["spans"])
+        # engine.compile nests under the ladder's guard.robust_volume root.
+        assert any(
+            span["name"] == "engine.compile" for span in _walk(tri["spans"])
+        )
 
     def test_per_task_telemetry_identical_serial_vs_parallel(self):
         serial = run_batch(self.TASKS, seed=3, workers=1, collect_obs=True)

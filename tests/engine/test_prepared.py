@@ -10,7 +10,7 @@ from repro._errors import EvaluationError, QEError, ReproError
 from repro.engine import PlanCache, PreparedQuery, prepare
 from repro.geometry import formula_volume_unit_cube
 from repro.geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
-from repro.guard import Budget, BudgetExceeded
+from repro.guard import Budget, BudgetExceeded, robust_volume
 from repro.logic import evaluate, parse
 
 TRIANGLE = "0 <= y AND y <= x AND x <= 1"
@@ -87,15 +87,25 @@ class TestApprox:
 
 
 class TestRobust:
+    """The guard ladder's exact rung reuses a plan warmed by prepare."""
+
+    @staticmethod
+    def _warm_cache():
+        cache = PlanCache()
+        prepare(TRIANGLE, cache=cache)
+        return cache
+
     def test_exact_mode(self):
-        plan = prepare(TRIANGLE, cache=None)
-        result = plan.robust_volume()
+        cache = self._warm_cache()
+        result = robust_volume(TRIANGLE, cache=cache)
         assert result.mode == "exact"
         assert result.value == Fraction(1, 2)
+        assert result.plan is prepare(TRIANGLE, cache=cache)
 
     def test_fallback_to_approximate(self):
-        plan = prepare(TRIANGLE, cache=None)
-        result = plan.robust_volume(
+        result = robust_volume(
+            TRIANGLE,
+            cache=self._warm_cache(),
             epsilon=0.2, delta=0.2,
             budget=Budget(deadline_s=0.0),
             policy="auto",
@@ -106,14 +116,11 @@ class TestRobust:
         assert 0.0 <= result.value <= 1.0
 
     def test_policy_off_raises(self):
-        plan = prepare(TRIANGLE, cache=None)
         with pytest.raises(BudgetExceeded):
-            plan.robust_volume(budget=Budget(deadline_s=0.0), policy="off")
-
-    def test_unknown_policy(self):
-        plan = prepare(TRIANGLE, cache=None)
-        with pytest.raises(EvaluationError, match="policy"):
-            plan.robust_volume(policy="sometimes")
+            robust_volume(
+                TRIANGLE, cache=self._warm_cache(),
+                budget=Budget(deadline_s=0.0), policy="off",
+            )
 
 
 class TestDecide:

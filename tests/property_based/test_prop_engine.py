@@ -120,16 +120,20 @@ def test_cached_and_stored_plans_agree(formula):
 @settings(max_examples=10, deadline=None)
 @given(volume_queries())
 def test_robust_mode_tag_matches_cold_ladder(formula):
-    plan = prepare(formula, VARS, cache=None)
-    # Generous budget: both ladders stop at the exact rung.
-    roomy = plan.robust_volume(budget=Budget(deadline_s=60.0))
+    cache = PlanCache()
+    prepare(formula, VARS, cache=cache)
+    # Generous budget: the warm and the fresh ladder stop at the exact
+    # rung, with the reference pipeline's volume.
+    roomy = robust_volume(
+        formula, VARS, budget=Budget(deadline_s=60.0), cache=cache
+    )
     cold = robust_volume(formula, VARS, budget=Budget(deadline_s=60.0))
     assert roomy.mode == "exact" == cold.mode
-    assert roomy.value == cold.value
-    # No budget at all, approx-only policy: both report approximate.
+    assert roomy.value == cold.value == formula_volume_unit_cube(formula, VARS)
+    # No budget at all, approx-only policy: reports approximate.
     seed = 5
-    warm = plan.robust_volume(
-        policy="approx-only", epsilon=0.5, delta=0.5,
-        rng=np.random.default_rng(seed),
+    warm = robust_volume(
+        formula, VARS, policy="approx-only", epsilon=0.5, delta=0.5,
+        rng=np.random.default_rng(seed), cache=cache,
     )
     assert warm.mode == "approximate"

@@ -177,8 +177,12 @@ def normalize_task(raw: Mapping[str, Any], index: int) -> dict[str, Any]:
         "op": op,
         "formula": formula,
     }
-    if raw.get("variables") is not None:
-        task["variables"] = tuple(str(v) for v in raw["variables"])
+    variables = raw.get("variables")
+    if variables is not None:
+        if not isinstance(variables, (list, tuple)) or not all(
+                isinstance(v, str) for v in variables):
+            raise ReproError(f"task {index}: 'variables' must be an array of strings")
+        task["variables"] = tuple(variables)
     if raw.get("box") is not None:
         try:
             task["box"] = [
@@ -187,8 +191,11 @@ def normalize_task(raw: Mapping[str, Any], index: int) -> dict[str, Any]:
         except (TypeError, ValueError) as error:
             raise ReproError(f"task {index}: bad box: {error}") from error
     for name in ("epsilon", "delta"):
-        if raw.get(name) is not None:
-            task[name] = float(raw[name])
+        value = raw.get(name)
+        if value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ReproError(f"task {index}: {name!r} must be a number")
+            task[name] = float(value)
     return task
 
 

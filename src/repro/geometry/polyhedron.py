@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..qe.fourier_motzkin import eliminate_variable, is_feasible, remove_redundant
-from ..qe.linear import LinConstraint
+from ..qe.linear import LinConstraint, tightest
 from .._errors import GeometryError, UnboundedSetError
 from .linalg import solve_linear_system
 
@@ -220,7 +220,9 @@ class Polyhedron:
         closed = self.closure()
         vertices: list[Point] = []
         seen: set[Point] = set()
-        constraints = _drop_looser_parallels(closed.constraints)
+        # A looser parallel half-space is never tight at a point of the
+        # polyhedron, so it defines no vertex.
+        constraints = tightest(closed.constraints)
         for subset in itertools.combinations(range(len(constraints)), d):
             matrix = []
             rhs = []
@@ -243,27 +245,3 @@ class Polyhedron:
             return f"R^{len(self.variables)}"
         return " AND ".join(str(c) for c in self.constraints)
 
-
-def _drop_looser_parallels(
-    constraints: tuple[LinConstraint, ...]
-) -> list[LinConstraint]:
-    """*constraints* without each ``<=`` implied by a parallel, tighter one.
-
-    A looser parallel half-space is never tight at a point of the
-    polyhedron, so it defines no vertex; of equal copies the first stays.
-    Order is kept.  Intersections of cells that share a clip box or
-    overlap along an axis carry many such pairs.
-    """
-    keys: list[tuple | None] = []
-    tightest: dict[tuple, tuple[Fraction, LinConstraint]] = {}
-    for c in constraints:
-        key = None
-        if c.op == "<=" and c.coeffs:
-            scale = abs(c.coeffs[0][1])
-            key = tuple((v, a / scale) for v, a in c.coeffs)
-            offset = c.constant / scale
-            if key not in tightest or offset > tightest[key][0]:
-                tightest[key] = (offset, c)
-        keys.append(key)
-    return [c for c, key in zip(constraints, keys)
-            if key is None or tightest[key][1] is c]

@@ -196,7 +196,8 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "counter", "infeasible disjuncts dropped by the feasibility prune"),
     "fm.constraints_pruned": (
         "counter",
-        "constraints dropped as constant-true, duplicate, or redundant"),
+        "constraints dropped as constant-true, duplicate or scalar-multiple "
+        "duplicate, looser parallel, or redundant"),
     "volume.cells": ("counter", "convex cells produced by formula decomposition"),
     "volume.polytopes": ("counter", "polytope-volume evaluations (incl. recursion)"),
     "volume.slices": ("counter", "interior slice samples taken by Theorem-3 slicing"),

@@ -10,7 +10,6 @@ equality).  ``Forall`` is handled by dualisation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..logic.formulas import (
@@ -25,7 +24,7 @@ from ..logic.formulas import (
 from ..logic.normalform import qf_to_dnf, to_nnf, to_prenex
 from .. import guard, obs
 from .._errors import QEError
-from .linear import LinConstraint, compare_to_constraints
+from .linear import LinConstraint, compare_to_constraints, tightest
 
 __all__ = [
     "eliminate_variable",
@@ -94,57 +93,54 @@ def eliminate_variable(
             lowers.append(constraint)
 
     if equalities:
-        # Solve the first equality for var and substitute everywhere.
-        eq = equalities[0]
-        coeff = eq.coeff(var)
-        replacement = {
-            name: -c / coeff for name, c in eq.coeffs if name != var
-        }
-        replacement_const = -eq.constant / coeff
+        # Cancel var against the first equality in every other row.
+        pivot = equalities[0]
         substituted = [
-            c.substitute_var(var, replacement, replacement_const)
-            for c in equalities[1:] + lowers + uppers
+            _cancel(var, row, pivot) for row in equalities[1:] + lowers + uppers
         ] + rest
         guard.charge("constraints", len(substituted))
         return _clean(substituted)
 
     combined: list[LinConstraint] = list(rest)
     for lower in lowers:
-        lower_scaled = lower.scale(Fraction(-1) / lower.coeff(var))
-        # lower_scaled: -var + L  op  0,  i.e.  var >= L (strict if op is <)
         for upper in uppers:
-            upper_scaled = upper.scale(Fraction(1) / upper.coeff(var))
-            # upper_scaled: var + U  op  0,  i.e.  var <= -U
-            coeffs: dict[str, Fraction] = {}
-            for name, c in lower_scaled.coeffs:
-                if name != var:
-                    coeffs[name] = coeffs.get(name, Fraction(0)) + c
-            for name, c in upper_scaled.coeffs:
-                if name != var:
-                    coeffs[name] = coeffs.get(name, Fraction(0)) + c
-            constant = lower_scaled.constant + upper_scaled.constant
-            op = "<" if (lower.op == "<" or upper.op == "<") else "<="
-            combined.append(LinConstraint.make(coeffs, constant, op))
+            combined.append(_cancel(var, upper, lower))
     guard.charge("constraints", len(combined))
     return _clean(combined)
 
 
+def _cancel(var: str, row: LinConstraint, pivot: LinConstraint) -> LinConstraint:
+    """The integer combination of *row* and *pivot* in which *var* cancels.
+
+    With ``a``, ``b`` the coefficients of *var* in *row* and *pivot*, this
+    is ``|b| * row - sign(b) * a * pivot``.  *row* is scaled by a positive
+    factor, so its sense is kept.  For an upper bound against a lower one
+    *pivot*'s factor is positive too; only an equality *pivot* can get a
+    negative one.  The result is as strict as the stricter of the rows.
+    """
+    a, b = row.coeff(var), pivot.coeff(var)
+    p, q = abs(b), (-a if b > 0 else a)
+    coeffs = {name: p * c for name, c in row.coeffs}
+    for name, c in pivot.coeffs:
+        coeffs[name] = coeffs.get(name, 0) + q * c
+    op = max(row.op, pivot.op, key=("=", "<=", "<").index)
+    return LinConstraint.make(coeffs, p * row.constant + q * pivot.constant, op)
+
+
 def _clean(constraints: Iterable[LinConstraint]) -> list[LinConstraint] | None:
-    """Drop constant-true constraints and duplicates; None if constant-false."""
-    seen = set()
-    result: list[LinConstraint] = []
+    """Drop constant-true rows, then keep the :func:`tightest` of the rest;
+    None if a constant row is false."""
+    rows: list[LinConstraint] = []
     dropped = 0
     for constraint in constraints:
         if constraint.is_constant():
             if not constraint.constant_truth():
                 return None
             dropped += 1
-            continue
-        if constraint in seen:
-            dropped += 1
-            continue
-        seen.add(constraint)
-        result.append(constraint)
+        else:
+            rows.append(constraint)
+    result = tightest(rows)
+    dropped += len(rows) - len(result)
     if dropped:
         obs.add("fm.constraints_pruned", dropped)
     return result

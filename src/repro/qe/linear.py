@@ -5,54 +5,74 @@ A :class:`LinConstraint` is ``sum_i coeff_i * x_i + constant OP 0`` with
 are normalised to this form (``>``/``>=`` are flipped, ``!=`` must be split
 into a disjunction by the caller).  These constraints are shared between
 the Fourier-Motzkin eliminator and the polyhedral geometry code.
+
+Row invariant: :meth:`LinConstraint.make` is the only place that decides
+a row's scale.  The variable coefficients are ``int`` with gcd 1; the
+constant is an exact ``Fraction`` scaled by the same factor.  ``<`` and
+``<=`` rows are scaled by a positive factor only; an ``=`` row is also
+sign-fixed so that its first coefficient is positive.  Parallel
+half-spaces therefore have identical ``coeffs`` and scalar multiples are
+equal rows, which is what lets :func:`tightest` decide dominance by
+comparing constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..logic.formulas import Compare, Formula
 from ..logic.terms import Add, Const, Term, Var
 from ..realalg.polynomial import Polynomial, term_to_polynomial
 from .._errors import SignatureError
 
-__all__ = ["LinConstraint", "compare_to_constraints", "linear_parts"]
+__all__ = ["LinConstraint", "compare_to_constraints", "linear_parts", "tightest"]
+
 
 
 @dataclass(frozen=True)
 class LinConstraint:
     """A normalised linear constraint ``sum coeffs[v]*v + constant OP 0``.
 
-    ``coeffs`` holds only nonzero coefficients.  ``op`` is ``<``, ``<=`` or
-    ``=``.
+    ``coeffs`` holds only nonzero coefficients, sorted by variable name.
+    ``op`` is ``<``, ``<=`` or ``=``.  Build rows with :meth:`make`, which
+    establishes the module's row invariant.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, int], ...]
     constant: Fraction
     op: str
 
     @staticmethod
     def make(
-        coeffs: Mapping[str, Fraction], constant: Fraction | int, op: str
+        coeffs: Mapping[str, Fraction | int], constant: Fraction | int, op: str
     ) -> "LinConstraint":
         if op not in ("<", "<=", "="):
             raise ValueError(f"unsupported constraint operator {op!r}")
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
+        items = sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
+        constant = Fraction(constant)
+        if not items:
+            return LinConstraint((), constant, op)
+        denominator = math.lcm(*(c.denominator for _, c in items))
+        numerators = [c.numerator * (denominator // c.denominator) for _, c in items]
+        divisor = math.gcd(*numerators)
+        if op == "=" and numerators[0] < 0:
+            divisor = -divisor
+        return LinConstraint(
+            tuple((v, n // divisor) for (v, _), n in zip(items, numerators)),
+            Fraction(constant.numerator * denominator,
+                     constant.denominator * divisor),
+            op,
         )
-        return LinConstraint(items, Fraction(constant), op)
 
     # -- queries ---------------------------------------------------------------
-    def coeff_map(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> int:
         for name, value in self.coeffs:
             if name == var:
                 return value
-        return Fraction(0)
+        return 0
 
     def variables(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.coeffs)
@@ -80,39 +100,7 @@ class LinConstraint:
             return value <= 0
         return value == 0
 
-    def lhs_value(self, env: Mapping[str, Fraction]) -> Fraction:
-        """Value of the linear form (including the constant) at *env*."""
-        value = self.constant
-        for name, coeff in self.coeffs:
-            value += coeff * Fraction(env[name])
-        return value
-
     # -- transformations ---------------------------------------------------
-    def scale(self, factor: Fraction) -> "LinConstraint":
-        """Multiply by a *positive* rational factor (keeps the operator)."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return LinConstraint(
-            tuple((v, c * factor) for v, c in self.coeffs),
-            self.constant * factor,
-            self.op,
-        )
-
-    def substitute_var(
-        self, var: str, replacement_coeffs: Mapping[str, Fraction], replacement_const: Fraction
-    ) -> "LinConstraint":
-        """Substitute ``var := sum replacement_coeffs + replacement_const``."""
-        own = self.coeff_map()
-        factor = own.pop(var, Fraction(0))
-        if factor == 0:
-            return self
-        for name, coeff in replacement_coeffs.items():
-            own[name] = own.get(name, Fraction(0)) + factor * coeff
-        return LinConstraint.make(
-            own, self.constant + factor * Fraction(replacement_const), self.op
-        )
-
     def negated_formulas(self) -> list["LinConstraint"]:
         """Constraints whose disjunction is the negation of this constraint.
 
@@ -145,6 +133,26 @@ class LinConstraint:
         return str(self.to_formula())
 
 
+def tightest(rows: Iterable[LinConstraint]) -> list[LinConstraint]:
+    """*rows* without duplicates and without each inequality implied by a
+    parallel, tighter one; survivors keep their order.
+
+    Parallel inequalities share ``coeffs`` (the row invariant), and of
+    ``coeffs . x + c OP 0`` the one with the largest ``c`` is tightest;
+    on equal constants ``<`` beats ``<=``.  Equalities only lose their
+    duplicates.  Of equal rows the first stays.
+    """
+    rows = list(rows)
+    best: dict[object, int] = {}
+    for index, row in enumerate(rows):
+        key = row if row.op == "=" else row.coeffs
+        held = best.get(key)
+        if held is None or (row.constant, row.op == "<") > (
+                rows[held].constant, rows[held].op == "<"):
+            best[key] = index
+    return [rows[index] for index in sorted(best.values())]
+
+
 def linear_parts(polynomial: Polynomial) -> tuple[dict[str, Fraction], Fraction]:
     """Split a degree-<=1 polynomial into (coefficients, constant).
 
@@ -174,7 +182,8 @@ def compare_to_constraints(atom: Compare) -> list[LinConstraint]:
     ``<, <=, =`` produce a single constraint; ``>=, >`` are flipped;
     ``!=`` raises (the caller must split it into a disjunction first, e.g.
     via :func:`repro.logic.normalform.to_nnf` followed by explicit
-    handling, or by using :func:`repro.qe.fourier_motzkin.atoms_to_dnf`).
+    handling, or by using
+    :func:`repro.qe.fourier_motzkin.conjunct_to_constraints`).
     """
     if atom.op == "!=":
         raise ValueError("'!=' atoms must be split into < OR > before normalising")

@@ -57,6 +57,12 @@ class TestNormalize:
             ({"formula": "   "}, "missing 'formula'"),
             ({"formula": "x < 1", "op": "integrate"}, "unknown op"),
             ({"formula": "x < 1", "box": [["0"]]}, "bad box"),
+            ({"formula": "x < 1", "variables": 5}, "'variables' must be"),
+            ({"formula": "x < 1", "variables": "xy"}, "'variables' must be"),
+            ({"formula": "x < 1", "variables": ["x", 1]}, "'variables' must be"),
+            ({"formula": "x < 1", "epsilon": "abc"}, "'epsilon' must be a number"),
+            ({"formula": "x < 1", "delta": "0.1"}, "'delta' must be a number"),
+            ({"formula": "x < 1", "delta": True}, "'delta' must be a number"),
         ],
     )
     def test_rejects_bad_entries(self, raw, message):

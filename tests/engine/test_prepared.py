@@ -227,6 +227,28 @@ class TestPersistence:
         with pytest.raises(ReproError, match="unknown schema"):
             PreparedQuery.from_record(record)
 
+    def test_v1_record_with_fractional_rows_decodes_normalized(self):
+        """Records written before rows were primitive integers still load."""
+        text = "0 <= y AND 2*y <= x AND x <= 1"
+        fresh = prepare(text, cache=None)
+        record = {
+            "schema": "repro.engine.plan/v1", "kind": "volume",
+            "key": fresh.key, "text": fresh.text, "variables": ["x", "y"],
+            "qf": fresh.text,
+            "cells": [[
+                {"coeffs": {"x": "-1/2", "y": "1"}, "constant": "0", "op": "<="},
+                {"coeffs": {"y": "-1/3"}, "constant": "0", "op": "<="},
+                {"coeffs": {"x": "2"}, "constant": "-2", "op": "<="},
+            ]],
+            "decision": None, "witness": None, "provenance": {},
+        }
+        plan = PreparedQuery.from_record(record)
+        (cell,) = plan.cells
+        assert [(c.coeffs, c.constant) for c in cell.constraints] == [
+            ((("x", -1), ("y", 2)), 0), ((("y", -1),), 0), ((("x", 1),), -1),
+        ]
+        assert plan.volume() == fresh.volume() == Fraction(1, 4)
+
     def test_record_is_jsonable(self):
         import json
 

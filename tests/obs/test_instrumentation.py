@@ -56,6 +56,19 @@ class TestFourierMotzkinPins:
         assert counts["fm.constraints_pruned"] == 1
         assert counts["fm.disjuncts"] == 1
 
+    def test_parallel_rows_counts(self):
+        """exists y. 0 <= y, 2y <= x, y <= x, x <= 1 — the two lower bounds
+        on x that y's elimination yields are the same normalized row."""
+        formula = exists(y, (0 <= y) & (2 * y <= x) & (y <= x) & (x <= 1))
+        obs.enable_counting()
+        obs.reset()
+        result = qe_linear(formula)
+        counts = obs.REGISTRY.as_dict()
+        assert str(result) == "x + (-1) <= 0 AND (-1) * x <= 0"
+        assert counts["fm.eliminations"] == 2
+        assert counts["fm.constraints_pruned"] == 2
+        assert counts["fm.disjuncts"] == 1
+
 
 class TestEvaluatorCounts:
     def test_range_set_candidates(self):

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logic import Relation, evaluate, exists, exists_adom, forall, variables
 from repro.qe import (
+    LinConstraint,
     conjunct_to_constraints,
     decide_linear,
     eliminate_variable,
@@ -143,6 +145,50 @@ class TestFeasibility:
 
     def test_empty_is_feasible(self):
         assert is_feasible([]) is True
+
+    def test_scaled_equality_elimination(self):
+        # 2x - 4y = 2 fixes y = (x - 1)/2, a pivot coefficient of -2 on y:
+        # x + y < 0 becomes 3x - 1 < 0 and y >= -1 becomes x >= -1.
+        (constraints,) = conjunct_to_constraints(
+            [(2 * x - 4 * y).eq(2), x + y < 0, y >= -1]
+        )
+        assert eliminate_variable("y", constraints) == [
+            LinConstraint.make({"x": -1}, -1, "<="),
+            LinConstraint.make({"x": 3}, -1, "<"),
+        ]
+        assert is_feasible(constraints) is True
+        assert is_feasible(constraints + conjunct_to_constraints([y >= 0])[0]) is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_systems_holding_at_a_point_are_feasible(self, data):
+        """Rows built to hold at a rational point: feasible; adding the
+        opposite parallel of one of them with a gap: infeasible."""
+        names = ("x", "y", "z")
+        point = {n: data.draw(st.fractions(-3, 3, max_denominator=4)) for n in names}
+        mode = data.draw(st.sampled_from(["mixed", "strict", "flat"]))
+        ops = {"mixed": ["<", "<=", "="], "strict": ["<"], "flat": ["=", "<="]}[mode]
+        rows = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            coeffs = {n: data.draw(st.integers(-3, 3)) for n in names}
+            if not any(coeffs.values()):
+                coeffs["x"] = 1
+            op = data.draw(st.sampled_from(ops))
+            slack = 0 if op == "=" else data.draw(
+                st.sampled_from([Fraction(1, 2), 1] if op == "<" else [0, 0, Fraction(1, 3)])
+            )
+            at_point = sum(c * point[n] for n, c in coeffs.items())
+            rows.append(LinConstraint.make(coeffs, -at_point - slack, op))
+        assert all(row.evaluate(point) for row in rows)
+        assert is_feasible(rows) is True
+        # row: a.v + c OP 0 caps a.v at -c; the opposite row demands more.
+        row = data.draw(st.sampled_from(rows))
+        gap = data.draw(st.sampled_from([Fraction(1, 5), 1]))
+        opposite = LinConstraint.make(
+            {n: -c for n, c in row.coeffs}, -row.constant + gap,
+            data.draw(st.sampled_from(["<", "<="])),
+        )
+        assert is_feasible(rows + [opposite]) is False
 
 
 class TestRedundancy:

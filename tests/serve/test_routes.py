@@ -286,6 +286,19 @@ class TestBadRequests:
 
         serve_test(check)
 
+    def test_malformed_task_fields_422(self):
+        async def check(server, port):
+            for field in ({"variables": 5}, {"variables": "xy"},
+                          {"epsilon": "abc"}, {"delta": [1]}):
+                status, _, body = await _request(
+                    port, "POST", "/v1/query",
+                    dict({"formula": "0 <= x", "op": "approx"}, **field),
+                )
+                assert status == 422, field
+                assert "must be" in json.loads(body)["error"]
+
+        serve_test(check)
+
     def test_unknown_op_422(self):
         async def check(server, port):
             status, _, _ = await _request(

@@ -35,7 +35,6 @@ its plan record format, and the batch manifest format.
 from .canon import (
     canonical_formula,
     canonical_term,
-    canonical_text,
     content_hash,
 )
 from .cache import DEFAULT_CACHE, CacheStats, PlanCache, default_cache
@@ -58,7 +57,6 @@ from .executor import (
 __all__ = [
     "canonical_formula",
     "canonical_term",
-    "canonical_text",
     "content_hash",
     "PlanCache",
     "CacheStats",

@@ -15,15 +15,17 @@ entry:
 * **connectives** are brought to negation normal form, flattened,
   deduplicated, and their operands sorted by the printed form of the
   (already canonical) operands;
-* **bound variables** are alpha-renamed bottom-up to ``_q0, _q1, ...``
-  so alpha-variants coincide; renaming is capture-avoiding against free
-  variables.
+* **bound variables** are alpha-renamed by nesting depth — ``_q0`` for
+  the outermost kept quantifier, ``_q1`` inside it, ... — skipping names
+  free in the input, so alpha-variants coincide without capture.  Vacuous
+  natural quantifiers are dropped, also when their atoms fold away.
 
-Every step preserves semantics exactly, so a canonical form may be
-compiled *in place of* the original formula.  :func:`content_hash`
-derives the plan-cache key from the canonical printed form (the printer
-round-trips through the parser, so the same string also serves as the
-plan record's formula text — see :mod:`repro.engine.prepared`).
+This is one pass: each atom becomes a polynomial once, already under its
+canonical names.  Every step preserves semantics exactly, so a canonical
+form may be compiled *in place of* the original formula.
+:func:`content_hash` hashes the canonical printed form as given (the
+printer round-trips through the parser, so the same string also serves
+as the plan record's formula text — see :mod:`repro.engine.prepared`).
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import reduce
+from itertools import count, islice
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..logic.formulas import (
     And,
@@ -51,11 +54,9 @@ from ..logic.formulas import (
     TrueFormula,
     conjunction,
     disjunction,
-    walk_ast,
 )
 from ..logic.normalform import to_nnf
 from ..logic.printer import formula_to_str
-from ..logic.substitution import substitute
 from ..logic.terms import Add, Const, Mul, Neg, Pow, Term, Var, ZERO
 from ..realalg.polynomial import Polynomial, term_to_polynomial
 from .. import guard
@@ -64,7 +65,6 @@ __all__ = [
     "BOUND_PREFIX",
     "canonical_term",
     "canonical_formula",
-    "canonical_text",
     "content_hash",
 ]
 
@@ -106,15 +106,22 @@ def _polynomial_to_term(poly: Polynomial) -> Term:
     return Add(tuple(parts))
 
 
+def _polynomial(term: Term, rename: Mapping[str, str]) -> Polynomial:
+    """*term* as a polynomial over its used variables, renamed and sorted."""
+    poly = term_to_polynomial(term)
+    if rename:
+        names = tuple(rename.get(var, var) for var in poly.variables)
+        poly = Polynomial(names, poly.coeffs)
+    return poly.with_variables(tuple(sorted(poly.used_variables())))
+
+
 def canonical_term(term: Term) -> Term:
     """The polynomial normal form of *term*.
 
     Flattens and sorts sums/products, folds constants, and expands powers
     of compound bases, so e.g. ``x*x`` and ``x^2`` coincide.
     """
-    poly = term_to_polynomial(term)
-    used = tuple(sorted(poly.used_variables()))
-    return _polynomial_to_term(poly.with_variables(used))
+    return _polynomial_to_term(_polynomial(term, {}))
 
 
 def _scale_primitive(poly: Polynomial) -> Polynomial:
@@ -128,9 +135,9 @@ def _scale_primitive(poly: Polynomial) -> Polynomial:
     return poly * Fraction(denom_lcm, num_gcd)
 
 
-def _canonical_compare(atom: Compare) -> Formula:
+def _canonical_compare(atom: Compare, rename: Mapping[str, str]) -> Formula:
     """Normalise ``lhs OP rhs`` to ``p OP 0`` (or fold it to TRUE/FALSE)."""
-    diff = term_to_polynomial(Add((atom.lhs, Neg(atom.rhs))))
+    diff = _polynomial(Add((atom.lhs, Neg(atom.rhs))), rename)
     op = atom.op
     if op in (">", ">="):
         diff = -diff
@@ -142,8 +149,7 @@ def _canonical_compare(atom: Compare) -> Formula:
             "=": value == 0, "!=": value != 0,
         }[op]
         return TRUE if holds else FALSE
-    used = tuple(sorted(diff.used_variables()))
-    diff = _scale_primitive(diff.with_variables(used))
+    diff = _scale_primitive(diff)
     if op in ("=", "!="):
         leading = diff.coeffs[min(diff.coeffs, key=_monomial_key)]
         if leading < 0:
@@ -160,26 +166,26 @@ def _sort_key(formula: Formula) -> tuple[str, str]:
     return (type(formula).__name__, formula_to_str(formula))
 
 
-def _bound_names(formula: Formula) -> set[str]:
-    return {
-        node.var for node in walk_ast(formula)
-        if isinstance(node, _QUANTIFIERS)
-    }
+def _canon(formula: Formula, rename: Mapping[str, str], depth: int, free: frozenset) -> Formula:
+    """Canonicalize NNF *formula* in one pass.
 
-
-def _canon(formula: Formula) -> Formula:
+    *rename* maps the bound variables in scope to canonical names, *depth*
+    counts the kept quantifiers above, and no quantifier takes a name in
+    *free*.
+    """
     guard.checkpoint()
     if isinstance(formula, (TrueFormula, FalseFormula)):
         return formula
     if isinstance(formula, Compare):
-        return _canonical_compare(formula)
+        return _canonical_compare(formula, rename)
     if isinstance(formula, RelAtom):
-        return RelAtom(formula.name, tuple(canonical_term(a) for a in formula.args))
+        args = (_polynomial_to_term(_polynomial(a, rename)) for a in formula.args)
+        return RelAtom(formula.name, tuple(args))
     if isinstance(formula, Not):
         # NNF leaves Not only over relation atoms.
-        return Not(_canon(formula.arg))
+        return Not(_canon(formula.arg, rename, depth, free))
     if isinstance(formula, (And, Or)):
-        args = [_canon(a) for a in formula.args]
+        args = [_canon(a, rename, depth, free) for a in formula.args]
         combine = conjunction if isinstance(formula, And) else disjunction
         combined = combine(*args)
         if not isinstance(combined, (And, Or)):
@@ -189,26 +195,17 @@ def _canon(formula: Formula) -> Formula:
             return unique[0]
         return type(combined)(tuple(unique))
     if isinstance(formula, _QUANTIFIERS):
-        body = _canon(formula.body)
+        # The name at this depth: the depth-th _qN not free in the input.
+        spelled = (f"{BOUND_PREFIX}{i}" for i in count())
+        name = next(islice((n for n in spelled if n not in free), depth, None))
+        body = _canon(formula.body, {**rename, formula.var: name}, depth + 1, free)
         if (isinstance(formula, (Exists, Forall))
-                and formula.var not in body.free_variables()):
+                and name not in body.free_variables()):
             # Vacuous *natural* quantifier: the reals are non-empty, so it
             # is a no-op.  (Vacuous active-domain quantifiers are kept:
-            # over an empty active domain they are not.)
-            return body
-        bound = _bound_names(body)
-        avoid = (body.free_variables() - {formula.var}) | bound
-        index = len(bound)
-        name = f"{BOUND_PREFIX}{index}"
-        while name in avoid:
-            index += 1
-            name = f"{BOUND_PREFIX}{index}"
-        if name != formula.var:
-            # Renaming changes monomial and operand orderings that were
-            # computed with the old name, so re-canonicalize the body.
-            # Idempotent for already-canonical inner structure (the inner
-            # name choices are deterministic), so this converges.
-            body = _canon(substitute(body, {formula.var: Var(name)}))
+            # over an empty active domain they are not.)  Folded atoms hide
+            # vacuity until now, so name the body again without this level.
+            return _canon(body, {}, depth, free)
         return type(formula)(name, body)
     raise TypeError(f"unknown formula node {type(formula).__name__}")
 
@@ -220,25 +217,23 @@ def canonical_formula(formula: Formula) -> Formula:
     spellings all map to the same AST (and therefore the same
     :func:`content_hash`).
     """
-    return _canon(to_nnf(formula))
+    nnf = to_nnf(formula)
+    free = nnf.free_variables()
+    canonical = _canon(nnf, {}, 0, free)
+    if canonical.free_variables() != free:
+        # A free variable folded away; if it was spelled like a bound name,
+        # the quantifiers skipped that name for nothing: name them again.
+        canonical = _canon(canonical, {}, 0, canonical.free_variables())
+    return canonical
 
 
-def canonical_text(formula: Formula) -> str:
-    """The printed canonical form — a stable, re-parseable serialization."""
-    return formula_to_str(canonical_formula(formula))
-
-
-def content_hash(
-    formula: Formula,
-    variables: Sequence[str] = (),
-    kind: str = "volume",
-) -> str:
+def content_hash(text: str, variables: Sequence[str], kind: str) -> str:
     """Content-addressed cache key for a query shape.
 
-    The key covers the canonical formula text, the evaluation variable
-    order (it fixes the dimension order of compiled cells), and the plan
-    *kind* (a volume plan and a decision plan for the same formula are
-    different artifacts).
+    The key covers the canonical formula *text* (hashed as given), the
+    evaluation variable order (it fixes the dimension order of compiled
+    cells), and the plan *kind* (a volume plan and a decision plan for the
+    same formula are different artifacts).
     """
-    payload = "\x00".join((kind, ",".join(variables), canonical_text(formula)))
+    payload = "\x00".join((kind, ",".join(variables), text))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -149,7 +149,7 @@ def task_key(task: Mapping[str, Any]) -> str | None:
     else:
         variables, kind = task.get("variables"), "volume"
     try:
-        return plan_identity(parse(task["formula"]), variables, kind)[2]
+        return plan_identity(parse(task["formula"]), variables, kind)[3]
     except Exception:  # noqa: BLE001 - an unkeyable task never hits a cache
         return None
 

@@ -303,20 +303,25 @@ class _StageClock:
 
 def plan_identity(
     formula: Formula, variables: Sequence[str] | None, kind: str
-) -> tuple[Formula, tuple[str, ...], str]:
-    """``(canonical formula, evaluation variables, content hash)`` of a plan.
+) -> tuple[Formula, tuple[str, ...], str, str]:
+    """``(canonical formula, variables, canonical text, content hash)``.
 
     The one keying rule: :func:`prepare` files plans under this hash, and
     :func:`repro.engine.executor.task_key` predicts it without compiling.
     ``variables=None`` means the sorted free variables of the canonical
-    formula (none for a ``decide`` sentence).
+    formula (none for a ``decide`` sentence).  Variables must be distinct
+    parser identifiers, so their comma-joined order in the key is unambiguous.
     """
     canonical = canonical_formula(formula)
     if variables is None:
         free = () if kind == "decide" else canonical.free_variables()
         variables = sorted(free)
     variables = tuple(variables)
-    return canonical, variables, content_hash(canonical, variables, kind)
+    if len(set(variables)) < len(variables) or not all(
+            v.isascii() and v.isidentifier() for v in variables):
+        raise EvaluationError(f"variables must be distinct identifiers: {variables}")
+    text = formula_to_str(canonical)
+    return canonical, variables, text, content_hash(text, variables, kind)
 
 
 def prepare(
@@ -359,8 +364,7 @@ def prepare(
         formula = query
 
     start = time.perf_counter()
-    canonical, variables, key = plan_identity(formula, variables, kind)
-    text = formula_to_str(canonical)
+    canonical, variables, text, key = plan_identity(formula, variables, kind)
     clock.stage("canonicalize", start)
 
     plan_cache: PlanCache | None

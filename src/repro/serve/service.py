@@ -129,10 +129,10 @@ class QueryService:
         context under ``obs_out["coalesced_with"]`` — the slow-query log
         uses both.
         """
-        key = task_key(task)
+        # Only coalescing reads the key, and it needs a plan store.
+        key = task_key(task) if self.store is not None else None
         lead = False
-        if (key is not None and self.store is not None
-                and key not in self.known):
+        if key is not None and key not in self.known:
             waiter = self._flights.begin(key, ctx=trace_ctx)
             if waiter is not None:
                 obs.add("serve.coalesce.waits")

@@ -1,9 +1,11 @@
 """Canonical normal form: invariance, semantics preservation, hashing."""
 
+import hashlib
 from fractions import Fraction
 
-from repro.engine import canonical_formula, canonical_text, content_hash
+from repro.engine import canonical_formula, content_hash
 from repro.engine.canon import canonical_term
+from repro.engine.prepared import plan_identity
 from repro.logic import (
     Const,
     Exists,
@@ -12,11 +14,16 @@ from repro.logic import (
     Forall,
     TRUE,
     Var,
+    formula_to_str,
     parse,
     variables,
 )
 
 x, y, z = variables("x y z")
+
+
+def text_of(formula) -> str:
+    return formula_to_str(canonical_formula(formula))
 
 
 class TestAtoms:
@@ -79,7 +86,7 @@ class TestQuantifiers:
         a = parse("EXISTS z . (z < x AND y < z)")
         b = parse("EXISTS w . (w < x AND y < w)")
         assert canonical_formula(a) == canonical_formula(b)
-        assert content_hash(a) == content_hash(b)
+        assert plan_identity(a, None, "volume") == plan_identity(b, None, "volume")
 
     def test_nested_alpha_variants(self):
         a = parse("EXISTS u . EXISTS v . (u < v AND v < x)")
@@ -92,6 +99,33 @@ class TestQuantifiers:
         formula = Exists("t", (Var("t") < q0))
         canon = canonical_formula(formula)
         assert canon.free_variables() == {"_q0"}
+
+    def test_bound_names_count_nesting_depth(self):
+        canon = canonical_formula(parse("EXISTS u . EXISTS v . (u < v AND v < x)"))
+        assert text_of(canon) == (
+            "EXISTS _q0. (EXISTS _q1. (_q0 + (-1) * _q1 < 0 AND _q1 + (-1) * x < 0))"
+        )
+
+    def test_shadowed_variable_takes_the_inner_name(self):
+        canon = canonical_formula(parse("EXISTS x . (x < 1 AND EXISTS x . 0 < x)"))
+        assert text_of(canon) == (
+            "EXISTS _q0. (_q0 + (-1) < 0 AND (EXISTS _q1. (-1) * _q1 < 0))"
+        )
+
+    def test_free_bound_name_skipped_then_released_when_folded(self):
+        kept = canonical_formula(parse("(EXISTS u . u < x) AND _q0 < 1"))
+        assert text_of(kept) == "_q0 + (-1) < 0 AND (EXISTS _q1. _q1 + (-1) * x < 0)"
+        # _q0 folds away, so the quantifier need not avoid its name.
+        folded = canonical_formula(parse("(EXISTS u . u < x) AND _q0 < _q0 + 1"))
+        assert folded == canonical_formula(parse("EXISTS u . u < x"))
+        assert canonical_formula(folded) == folded
+
+    def test_quantifier_vacuous_after_folding_leaves_no_level(self):
+        formula = parse("EXISTS a . EXISTS b . (a < a + 1 AND b < x)")
+        canon = canonical_formula(formula)
+        assert canon == canonical_formula(parse("EXISTS b . b < x"))
+        assert text_of(canon) == "EXISTS _q0. _q0 + (-1) * x < 0"
+        assert canonical_formula(canon) == canon
 
     def test_vacuous_natural_quantifier_dropped(self):
         assert canonical_formula(Exists("t", x < 1)) == canonical_formula(x < 1)
@@ -117,24 +151,29 @@ class TestStability:
 
     def test_text_reparses_to_same_canonical(self):
         formula = parse("EXISTS z . (z < x AND y < z AND 2*z < x + y)")
-        text = canonical_text(formula)
-        assert canonical_formula(parse(text)) == canonical_formula(formula)
+        assert canonical_formula(parse(text_of(formula))) == canonical_formula(formula)
 
 
 class TestContentHash:
     def test_hash_is_hex_sha256(self):
-        digest = content_hash(x < 1)
+        digest = content_hash(text_of(x < 1), ("x",), "volume")
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
 
+    def test_hash_is_sha256_of_kind_variables_text(self):
+        # The text is hashed as given: nothing is re-canonicalized.
+        text = "x + y - 1 < 0"
+        expected = hashlib.sha256(b"volume\x00x,y\x00x + y - 1 < 0").hexdigest()
+        assert content_hash(text, ("x", "y"), "volume") == expected
+
     def test_kind_and_variables_distinguish(self):
-        formula = (x < 1) & (y < 1)
-        base = content_hash(formula, ("x", "y"), "volume")
-        assert content_hash(formula, ("x", "y"), "decide") != base
-        assert content_hash(formula, ("y", "x"), "volume") != base
-        assert content_hash(formula, ("x", "y"), "volume") == base
+        text = text_of((x < 1) & (y < 1))
+        base = content_hash(text, ("x", "y"), "volume")
+        assert content_hash(text, ("x", "y"), "decide") != base
+        assert content_hash(text, ("y", "x"), "volume") != base
+        assert content_hash(text, ("x", "y"), "volume") == base
 
     def test_semantic_variants_share_hash(self):
-        a = content_hash((x < 1) & (y < 1), ("x", "y"))
-        b = content_hash((y < 1) & (x < 1), ("x", "y"))
+        a = content_hash(text_of((x < 1) & (y < 1)), ("x", "y"), "volume")
+        b = content_hash(text_of((y < 1) & (x < 1)), ("x", "y"), "volume")
         assert a == b

@@ -198,6 +198,17 @@ class TestCacheIntegration:
         assert second is first
         assert cache.stats.hits == 1
 
+    def test_comma_in_variable_cannot_reach_a_warm_plan(self):
+        # ("x,y",) and ("x", "y") joined to the same key payload, so a
+        # warm cache answered a query a cold run rejects.
+        cache = PlanCache()
+        prepare(TRIANGLE, ("x", "y"), cache=cache)
+        with pytest.raises(EvaluationError):
+            prepare(TRIANGLE, ("x,y",), cache=cache)
+        with pytest.raises(EvaluationError):
+            prepare(TRIANGLE, ("x", "x"), cache=cache)
+        assert cache.stats.hits == 0
+
     def test_cache_none_always_compiles(self):
         first = prepare(TRIANGLE, cache=None)
         second = prepare(TRIANGLE, cache=None)

@@ -20,6 +20,7 @@ from repro.engine import executor
 from repro.engine.canon import canonical_formula
 from repro.guard import Budget, StoreIOBudgetExceeded
 from repro.logic.parser import parse
+from repro.logic.printer import formula_to_str
 
 TRIANGLE = "0 <= y AND y <= x AND x <= 1"
 
@@ -28,7 +29,7 @@ def key_of(text: str, kind: str = "volume") -> str:
     """The content hash of *text* without compiling anything."""
     canonical = canonical_formula(parse(text))
     variables = tuple(sorted(canonical.free_variables()))
-    return content_hash(canonical, variables, kind)
+    return content_hash(formula_to_str(canonical), variables, kind)
 
 
 def compile_plan(text: str):

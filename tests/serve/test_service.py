@@ -133,3 +133,20 @@ class TestBrokenPoolRebuild:
             assert service.pool.executor is not broken
 
         asyncio.run(go())
+
+
+class TestKeying:
+    def test_storeless_service_never_computes_a_key(self, service, monkeypatch):
+        # Without a plan store nothing coalesces, so the plan key is dead
+        # work on the event loop.
+        def no_key(task):
+            raise AssertionError("task_key called without a plan store")
+
+        monkeypatch.setattr("repro.serve.service.task_key", no_key)
+
+        async def go():
+            return await service.execute(dict(TASK))
+
+        record = asyncio.run(go())
+        assert record["status"] == "ok"
+        assert record["exact"] == "1"

@@ -5,6 +5,7 @@ Subcommands
 ``demo``        run a compact end-to-end demonstration (default)
 ``volume``      exact VOL_I of a formula given on the command line
 ``approx``      Monte Carlo (epsilon, delta)-approximation of VOL_I
+                (``volume`` with the policy forced to ``approx-only``)
 ``batch``       run a JSONL manifest of queries through the engine's
                 batch executor (``--workers N`` process workers, per-task
                 budgets, JSONL results out; ``--trace-out PATH`` harvests
@@ -63,9 +64,9 @@ def _rng(seed: int):
 
 
 def _demo(args: argparse.Namespace) -> None:
-    from repro.approx import approximate_vol_unit_cube
     from repro.core import sum_of_endpoints, volume_of_query
     from repro.db import FRInstance, FiniteInstance, Schema, output_formula
+    from repro.guard import robust_volume
     from repro.logic import Relation, exists, exists_adom, variables
     from repro.qe.cad import decide
 
@@ -83,10 +84,11 @@ def _demo(args: argparse.Namespace) -> None:
     print("volume     ->", volume_of_query(query, db, ("x", "y")), "(exact, Theorem 3)")
     # The same query with S expanded by hand: quantifier-free, samplable.
     expanded = (y <= Fraction(1, 4)) & (0 <= y) & (y <= x) & (x <= 1)
-    estimate = approximate_vol_unit_cube(
-        expanded, ("x", "y"), epsilon=0.05, delta=0.05, rng=_rng(args.seed)
+    estimate = robust_volume(
+        expanded, ("x", "y"), epsilon=0.05, delta=0.05, policy="approx-only",
+        rng=_rng(args.seed),
     )
-    print(f"MC approx  -> {estimate.estimate:.4f} +- "
+    print(f"MC approx  -> {estimate.value:.4f} +- "
           f"{estimate.confidence_radius:.4f} "
           f"({estimate.samples} samples, seed {args.seed})")
     points = FiniteInstance.make(Schema.make({"P": 1}), {"P": [1, 2, 3]})
@@ -128,24 +130,6 @@ def _volume(args: argparse.Namespace) -> None:
     for mode, error in result.attempts:
         print(f"  [{mode} abandoned: {error.resource} budget exceeded]",
               file=sys.stderr)
-
-
-def _approx(args: argparse.Namespace) -> None:
-    from repro.approx import approximate_vol_unit_cube
-    from repro.logic import parse
-
-    formula = parse(args.formula)
-    names = sorted(formula.free_variables())
-    estimate = approximate_vol_unit_cube(
-        formula, names, epsilon=args.epsilon, delta=args.delta,
-        rng=_rng(args.seed),
-    )
-    print(
-        f"VOL_I({args.formula}) ~= {estimate.estimate:.6f} "
-        f"+- {estimate.confidence_radius:.6f} "
-        f"({estimate.hits}/{estimate.samples} hits, "
-        f"eps={args.epsilon:g}, delta={args.delta:g}, seed={args.seed})"
-    )
 
 
 def _read_input_lines(path: str) -> tuple[list[str], str]:
@@ -802,9 +786,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    if args.command == "volume":
+    if args.command in ("volume", "approx"):
         # volume manages the budget itself: the fallback ladder needs to
         # catch exhaustion between rungs, not have it unwind past it.
+        # approx is the ladder's last rung alone.
+        if args.command == "approx":
+            args.fallback = "approx-only"
         _volume(args)
         return
     if args.command == "batch":
@@ -828,8 +815,6 @@ def _dispatch(args: argparse.Namespace) -> None:
     with guard.govern(args.budget):
         if args.command in (None, "demo"):
             _demo(args)
-        elif args.command == "approx":
-            _approx(args)
         elif args.command == "experiments":
             _experiments()
 

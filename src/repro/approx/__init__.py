@@ -6,7 +6,6 @@ from .operators import (
     is_valid_relative_approximation,
 )
 from .trivial import trivial_vol_approximation
-from .montecarlo import approximate_vol_unit_cube
 from .km_cost import DERANDOMISATION_DELTA, KMCost, km_cost, km_cost_for_query
 from .convex import convex_relative_approximation, john_band
 from .sampled_aggregates import AggregateEstimate, sample_avg, sample_sum
@@ -16,7 +15,6 @@ __all__ = [
     "is_valid_relative_approximation",
     "epsilon_band_to_relative",
     "trivial_vol_approximation",
-    "approximate_vol_unit_cube",
     "KMCost",
     "km_cost",
     "km_cost_for_query",

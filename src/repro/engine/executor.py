@@ -8,8 +8,10 @@ A *manifest* is JSON-lines, one task per line::
 
 Supported ops: ``volume`` (the degradation ladder
 :func:`repro.guard.robust_volume` under the batch's fallback policy:
-exact only with ``off``), ``approx`` (Monte Carlo), and ``decide`` (CAD
-decision of an FO + POLY sentence).  Optional per-task fields:
+exact only with ``off``), ``approx`` (the same ladder's Monte Carlo rung,
+i.e. policy ``approx-only``, whatever the batch's policy; it compiles no
+plan), and ``decide`` (CAD decision of an FO + POLY sentence).  Optional
+per-task fields:
 ``variables`` (evaluation order), ``box`` (per-variable ``[low, high]``
 rational bounds), ``epsilon`` / ``delta`` (approximation targets).
 
@@ -89,7 +91,7 @@ from .. import obs
 from .._errors import ReproError
 from ..guard.budget import Budget
 from ..guard.errors import BudgetExceeded, RetryBudgetExceeded
-from ..guard.fallback import robust_volume
+from ..guard.fallback import RobustResult, robust_volume
 from .cache import DEFAULT_CACHE
 from .chaos import ChaosPlan, parse_chaos
 from .journal import Journal, open_journal
@@ -138,12 +140,15 @@ def task_key(task: Mapping[str, Any]) -> str | None:
     canonicalization alone, no QE, CAD, or decomposition — so it is cheap
     enough to call for every task of a manifest.  ``None`` when the
     formula does not parse (such a task errors at execution and never
-    touches a cache).  Used to seed shard runs with the keys of skipped
+    touches a cache) and for ``approx`` tasks, which sample without
+    compiling a plan.  Used to seed shard runs with the keys of skipped
     prefix tasks, keeping cache provenance shard-invariant, and by serve's
     compile coalescing.
     """
     from ..logic.parser import parse
 
+    if task.get("op") == "approx":
+        return None
     if task.get("op") == "decide":
         variables, kind = (), "decide"
     else:
@@ -222,7 +227,8 @@ def execute_task(
     ``"obs"`` key (see :mod:`repro.obs.aggregate`).  ``plan_store`` names
     a shared :class:`~repro.engine.store.PlanStore` file to compile
     through (one adapter per process, reused across tasks);
-    ``compile_only=True`` prepares the plan and skips evaluation.
+    ``compile_only=True`` prepares the plan and skips evaluation (an
+    ``approx`` task has no plan, so it does nothing).
     ``obs_shared_cache=True`` lets an observed task use the shared cache
     and store anyway: batch telemetry must be scheduling-independent, so
     it compiles privately, but a long-running server wants live (not
@@ -344,37 +350,34 @@ def _dispatch(
         else DEFAULT_CACHE
     )
 
-    if op == "volume" and not compile_only:
-        result = robust_volume(
-            task["formula"], variables, epsilon=epsilon, delta=delta,
-            budget=budget, policy=fallback, box=box, rng=_rng(seed),
-            cache=cache,
-        )
-        out = _plan_fields(result.plan) if result.plan is not None else {}
-        if result.mode == "approximate":
-            out.update(_mc_fields(result.value, result, epsilon, delta))
+    if compile_only and op == "approx":
+        return {"mode": "compile-only"}  # sampling compiles no plan
+    if op == "decide" or compile_only:
+        if op == "decide":
+            plan = prepare(task["formula"], (), kind="decide", budget=budget,
+                           cache=cache)
         else:
-            out.update(value=float(result.value), exact=str(result.value),
-                       mode=result.mode)
-        if result.attempts:
-            out["attempts"] = [
-                [mode, error.resource] for mode, error in result.attempts
-            ]
-        return out
-
-    if op == "decide":
-        plan = prepare(task["formula"], (), kind="decide", budget=budget,
-                       cache=cache)
-    else:
-        plan = prepare(task["formula"], variables, budget=budget, cache=cache)
-    if compile_only:
-        return {**_plan_fields(plan), "mode": "compile-only"}
-    if op == "decide":
+            plan = prepare(task["formula"], variables, budget=budget, cache=cache)
+        if compile_only:
+            return {**_plan_fields(plan), "mode": "compile-only"}
         return {"value": plan.decide(), "mode": "exact", "cached_key": plan.key}
-    # op == "approx"
-    estimate = plan.approx_volume(epsilon, delta, rng=_rng(seed), box=box)
-    return {**_plan_fields(plan),
-            **_mc_fields(estimate.estimate, estimate, epsilon, delta)}
+
+    result = robust_volume(
+        task["formula"], variables, epsilon=epsilon, delta=delta,
+        budget=budget, policy="approx-only" if op == "approx" else fallback,
+        box=box, rng=_rng(seed), cache=cache,
+    )
+    out = _plan_fields(result.plan) if result.plan is not None else {}
+    if result.mode == "approximate":
+        out.update(_mc_fields(result))
+    else:
+        out.update(value=float(result.value), exact=str(result.value),
+                   mode=result.mode)
+    if result.attempts:
+        out["attempts"] = [
+            [mode, error.resource] for mode, error in result.attempts
+        ]
+    return out
 
 
 def _plan_fields(plan: PreparedQuery) -> dict[str, Any]:
@@ -382,22 +385,15 @@ def _plan_fields(plan: PreparedQuery) -> dict[str, Any]:
     return {"cached_key": plan.key, "cells": plan.cell_count()}
 
 
-def _mc_fields(
-    value: float, estimate: Any, epsilon: float, delta: float
-) -> dict[str, Any]:
-    """The Monte Carlo fields of every approximate row.
-
-    *estimate* (a :class:`~repro.geometry.sampling.MonteCarloEstimate` or
-    an approximate :class:`~repro.guard.fallback.RobustResult`) supplies
-    the confidence radius and sample count.
-    """
+def _mc_fields(result: RobustResult) -> dict[str, Any]:
+    """The Monte Carlo fields of every approximate row."""
     return {
-        "value": float(value),
+        "value": float(result.value),
         "mode": "approximate",
-        "confidence_radius": estimate.confidence_radius,
-        "samples": estimate.samples,
-        "epsilon": epsilon,
-        "delta": delta,
+        "confidence_radius": result.confidence_radius,
+        "samples": result.samples,
+        "epsilon": result.epsilon,
+        "delta": result.delta,
     }
 
 
@@ -849,7 +845,7 @@ class _BatchRunner:
                 "max_retries": self.max_retries,
             },
         }
-        if self.fallback != "off" and task["op"] in ("volume", "approx"):
+        if self.fallback != "off" and task["op"] != "decide":
             self._quarantine_fallback(task, seed, result)
         self._record(index, result)
 
@@ -862,9 +858,9 @@ class _BatchRunner:
         tight budget with the ``approx-only`` policy — the task already
         killed workers, so this is opt-in (a fallback policy must be set)
         and skips the exact rungs' compile paths, which is where runaway
-        tasks live (only QE of a quantified formula runs, under the
-        budget).  The record stays ``"quarantined"`` either way; a
-        successful fallback adds the estimate fields.
+        tasks live (only QE of a quantified formula and the sampling run,
+        both under the budget).  The record stays ``"quarantined"`` either
+        way; a successful fallback adds the estimate fields.
         """
         timeout = self.config.get("timeout")
         deadline = min(5.0, timeout) if timeout is not None else 5.0
@@ -884,7 +880,7 @@ class _BatchRunner:
                 f"{type(error).__name__}: {error}"
             )
             return
-        result.update(_mc_fields(estimate.value, estimate, epsilon, delta))
+        result.update(_mc_fields(estimate))
         result["quarantine"]["fallback"] = "in-process"
         obs.add("engine.quarantine.fallbacks")
 

@@ -5,9 +5,10 @@ cell decomposition (and, for decision plans, CAD) — depends only on the
 *shape* of a query, not on the region or instance it is evaluated
 against.  :func:`prepare` pays that cost once and returns a
 :class:`PreparedQuery` whose evaluations (exact volume over a clip box,
-point membership, Monte Carlo estimation) reuse the compiled artifacts;
-budget-governed degradation is :func:`repro.guard.robust_volume`, whose
-exact rung compiles through :func:`prepare`.
+point membership) reuse the compiled artifacts; budget-governed
+degradation, Monte Carlo estimation included, is
+:func:`repro.guard.robust_volume`, whose exact rung compiles through
+:func:`prepare`.
 
 Plans carry provenance: the compile stages that ran with their
 durations, the resource consumption charged against the compile-time
@@ -84,7 +85,7 @@ class PreparedQuery:
 
     __slots__ = (
         "kind", "key", "formula", "text", "variables", "cells", "qf",
-        "decision", "witness", "provenance", "_volumes", "_lock",
+        "decision", "provenance", "_volumes", "_lock",
     )
 
     def __init__(
@@ -98,7 +99,6 @@ class PreparedQuery:
         cells: tuple[Polyhedron, ...] | None,
         qf: Formula | None,
         decision: bool | None,
-        witness: dict[str, Fraction] | None,
         provenance: PlanProvenance,
     ):
         self.kind = kind
@@ -109,7 +109,6 @@ class PreparedQuery:
         self.cells = cells
         self.qf = qf
         self.decision = decision
-        self.witness = witness
         self.provenance = provenance
         self._volumes: dict[Any, Fraction] = {}
         self._lock = threading.Lock()
@@ -159,30 +158,6 @@ class PreparedQuery:
         obs.add("engine.eval.truth")
         return any(cell.contains(point) for cell in self.cells)
 
-    def approx_volume(
-        self,
-        epsilon: float = 0.05,
-        delta: float = 0.05,
-        rng=None,
-        box: Sequence[tuple[Fraction, Fraction]] | None = None,
-    ):
-        """Monte Carlo estimate over the compiled quantifier-free matrix.
-
-        The sampling stream is identical to a cold run with the same rng
-        (hits are decided semantically, and QE preserves semantics), so
-        prepared and unprepared estimates agree bit-for-bit.
-        """
-        self._require("approx_volume")
-        from ..geometry.sampling import hoeffding_volume
-
-        obs.add("engine.eval.approx")
-        start = time.perf_counter()
-        estimate = hoeffding_volume(
-            self.qf, self.variables, epsilon, delta, rng, self._box(box)
-        )
-        obs.observe_value("engine.query.mc_s", time.perf_counter() - start)
-        return estimate
-
     def decide(self) -> bool:
         """The compile-time CAD decision of a ``decide`` plan."""
         if self.kind != "decide":
@@ -213,7 +188,7 @@ class PreparedQuery:
         """A JSON-able ``PLAN_SCHEMA`` snapshot of the compiled artifacts.
 
         Compiled artifacts (canonical formula text, cell constraint
-        systems, decision bits, witnesses) rather than a pickle, so the
+        systems, decision bits) rather than a pickle, so the
         format is stable, diffable, and independent of the Python
         version — see docs/ENGINE.md for the schema.
         """
@@ -236,15 +211,16 @@ class PreparedQuery:
                 for cell in self.cells
             ],
             "decision": self.decision,
-            "witness": None if self.witness is None else {
-                v: str(value) for v, value in self.witness.items()
-            },
             "provenance": self.provenance.as_dict(),
         }
 
     @staticmethod
     def from_record(record: Mapping[str, Any]) -> "PreparedQuery":
-        """Rebuild a plan from :meth:`to_record` output (the store's read path)."""
+        """Rebuild a plan from :meth:`to_record` output (the store's read path).
+
+        Unknown fields are ignored, such as the ``witness`` field older
+        writers put in ``repro.engine.plan/v1`` records.
+        """
         if record.get("schema") != PLAN_SCHEMA:
             raise ReproError(
                 f"plan record with unknown schema {record.get('schema')!r} "
@@ -267,7 +243,6 @@ class PreparedQuery:
                 )
                 for cell in record["cells"]
             )
-        witness = record.get("witness")
         provenance = replace(
             PlanProvenance.from_dict(record.get("provenance", {})), source="store"
         )
@@ -280,9 +255,6 @@ class PreparedQuery:
             cells=cells,
             qf=None if record.get("qf") is None else parse(record["qf"]),
             decision=record.get("decision"),
-            witness=None if witness is None else {
-                v: Fraction(value) for v, value in witness.items()
-            },
             provenance=provenance,
         )
 
@@ -332,7 +304,6 @@ def prepare(
     cache: "PlanCache | None | object" = _SHARED,
     budget: Budget | None = None,
     prune: bool = True,
-    certify: bool = False,
 ) -> PreparedQuery:
     """Compile *query* once (or fetch its cached plan) for repeated evaluation.
 
@@ -340,9 +311,9 @@ def prepare(
     the evaluation dimension order (default: sorted free variables).
     ``kind='volume'`` compiles parse -> canonicalize -> QE -> cell
     decomposition for a linear query; ``kind='decide'`` decides an
-    FO + POLY sentence by CAD and caches the bit.  ``certify=True``
-    additionally extracts a rational witness point via CAD sampling
-    (recorded on the plan; adds compile cost, never evaluation cost).
+    FO + POLY sentence by CAD and caches the bit.  ``prune=False`` skips
+    the feasibility pruning of Fourier-Motzkin's intermediate results
+    (the degradation ladder's ``exact-coarse`` rung).
 
     ``cache`` defaults to the shared process-wide
     :data:`~repro.engine.cache.DEFAULT_CACHE`; pass ``cache=None`` to
@@ -374,8 +345,7 @@ def prepare(
         obs.add("engine.compile")
         with obs.span("engine.compile", kind=kind, variables=len(variables)):
             plan = _compile(
-                kind, key, canonical, text, variables, clock, budget,
-                prune, certify,
+                kind, key, canonical, text, variables, clock, budget, prune,
             )
         obs.observe_value("engine.plan.compile_s", plan.provenance.compile_s)
         return plan
@@ -398,12 +368,10 @@ def _compile(
     clock: _StageClock,
     budget: Budget | None,
     prune: bool,
-    certify: bool,
 ) -> PreparedQuery:
     cells: tuple[Polyhedron, ...] | None = None
     qf: Formula | None = None
     decision: bool | None = None
-    witness: dict[str, Fraction] | None = None
 
     if kind == "decide":
         from ..qe.cad import decide as cad_decide
@@ -427,18 +395,8 @@ def _compile(
             qf = qe_linear(qf, prune=prune)
             clock.stage("qe", start)
         start = time.perf_counter()
-        cells = tuple(formula_to_cells(qf, variables, prune=prune))
+        cells = tuple(formula_to_cells(qf, variables))
         clock.stage("decompose", start)
-        if certify and cells:
-            from ..qe.cad import find_sample
-
-            start = time.perf_counter()
-            sample = find_sample(qf)
-            if sample is not None and all(
-                isinstance(value, Fraction) for value in sample.values()
-            ):
-                witness = {v: Fraction(value) for v, value in sample.items()}
-            clock.stage("certify", start)
 
     provenance = PlanProvenance(
         stages=tuple(clock.stages),
@@ -454,6 +412,5 @@ def _compile(
         cells=cells,
         qf=qf,
         decision=decision,
-        witness=witness,
         provenance=provenance,
     )

@@ -30,14 +30,12 @@ __all__ = [
 
 
 def formula_to_cells(
-    formula: Formula, variables: Sequence[str], prune: bool = True
+    formula: Formula, variables: Sequence[str]
 ) -> list[Polyhedron]:
     """Decompose a linear formula into convex cells whose union it denotes.
 
     Quantifiers are eliminated first (Fourier-Motzkin); ``!=`` atoms are
-    split.  Infeasible cells are dropped.  ``prune=False`` skips the
-    feasibility pruning of intermediate QE results — cheaper per step,
-    still exact; the degradation ladder's "coarse" rung uses it.
+    split.  Infeasible cells are dropped.
     """
     variables = tuple(variables)
     free = formula.free_variables()
@@ -51,7 +49,7 @@ def formula_to_cells(
         if not is_quantifier_free(formula):
             if max_degree(formula) > 1:
                 raise QEError("quantified nonlinear formulas are not semi-linear")
-            formula = qe_linear(formula, prune=prune)
+            formula = qe_linear(formula)
         cells: list[Polyhedron] = []
         for conjunct in qf_to_dnf(formula):
             for constraints in conjunct_to_constraints(conjunct):
@@ -68,17 +66,18 @@ def formula_volume(
     formula: Formula,
     variables: Sequence[str],
     box: Sequence[tuple[Fraction, Fraction]] | None = None,
-    prune: bool = True,
 ) -> Fraction:
     """Exact volume of the semi-linear set denoted by *formula*.
 
     ``box`` optionally clips to an axis-aligned box (list of per-variable
     ``(low, high)`` bounds).  Without a box the set must be bounded.
-    ``prune`` is threaded to :func:`formula_to_cells`.
     """
     variables = tuple(variables)
     with obs.span("volume.formula_volume", variables=len(variables)):
-        return _formula_volume(formula, variables, box, prune)
+        cells = formula_to_cells(formula, variables)
+        if box is not None:
+            cells = clip_cells(cells, variables, box)
+        return union_volume(cells)
 
 
 def clip_cells(
@@ -105,18 +104,6 @@ def clip_cells(
         clip.append(LinConstraint.make({var: Fraction(1)}, -Fraction(high), "<="))
     clipper = Polyhedron.make(variables, clip)
     return [cell.intersect(clipper) for cell in cells]
-
-
-def _formula_volume(
-    formula: Formula,
-    variables: tuple[str, ...],
-    box: Sequence[tuple[Fraction, Fraction]] | None,
-    prune: bool = True,
-) -> Fraction:
-    cells = formula_to_cells(formula, variables, prune=prune)
-    if box is not None:
-        cells = clip_cells(cells, variables, box)
-    return union_volume(cells)
 
 
 def formula_volume_unit_cube(

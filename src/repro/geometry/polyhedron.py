@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..qe.fourier_motzkin import eliminate_variable, is_feasible, remove_redundant
+from ..qe.fourier_motzkin import eliminate_variable, is_feasible
 from ..qe.linear import LinConstraint, tightest
-from .._errors import GeometryError, UnboundedSetError
+from .._errors import GeometryError
 from .linalg import solve_linear_system
 
 __all__ = ["Polyhedron", "Point"]
@@ -115,12 +115,6 @@ class Polyhedron:
             raise GeometryError("cannot intersect polyhedra over different variables")
         return Polyhedron(self.variables, self.constraints + other.constraints)
 
-    def simplified(self) -> "Polyhedron":
-        """Remove redundant constraints (exact, possibly slow for many)."""
-        return Polyhedron(
-            self.variables, tuple(remove_redundant(list(self.constraints)))
-        )
-
     # -- projections and bounds ------------------------------------------------
     def project_to(self, var: str) -> list[LinConstraint]:
         """Fourier-Motzkin projection onto a single coordinate."""
@@ -173,16 +167,6 @@ class Polyhedron:
             if low is None or high is None:
                 return False
         return True
-
-    def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
-        """Tight axis-aligned bounding box of a nonempty bounded polyhedron."""
-        box = []
-        for var in self.variables:
-            low, high = self.coordinate_bounds(var)
-            if low is None or high is None:
-                raise UnboundedSetError(f"polyhedron unbounded in {var!r}")
-            box.append((low, high))
-        return box
 
     # -- substitution ----------------------------------------------------------
     def fix_variable(self, var: str, value: Fraction) -> "Polyhedron":

@@ -229,6 +229,10 @@ def hit_or_miss_volume(
     dims = len(variables)
     if box is None:
         box = [(0.0, 1.0)] * dims
+    elif len(box) != dims:
+        raise ApproximationError(
+            f"box must give bounds for all of {tuple(variables)}"
+        )
     with obs.span("mc.hit_or_miss", samples=samples, dims=dims):
         lows = np.array([b[0] for b in box])
         highs = np.array([b[1] for b in box])

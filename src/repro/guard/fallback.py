@@ -2,32 +2,38 @@
 
 The paper's Section 3 lesson is that exact aggregation can be astronomically
 expensive while approximation stays cheap; this module operationalises it.
-:func:`robust_volume` is the one ladder every front-end runs (``repro
-volume``, batch and serve volume rows, the batch quarantine fallback).  It
+:func:`robust_volume` is the one ladder every front-end runs for exact and
+approximate volume alike (``repro volume``, ``repro approx``, batch and
+serve ``volume`` and ``approx`` rows, the batch quarantine fallback); an
+approximate answer is its last rung run with ``policy="approx-only"``.  It
 tries, in order:
 
 1. **exact** — compile the query with :func:`repro.engine.prepare` (QE with
    feasibility pruning, convex decomposition; through the caller's plan
    cache, if any) and take the plan's exact union volume over the box;
 2. **exact-coarse** — recompile afresh with the Fourier-Motzkin
-   feasibility prune disabled (cheaper per step, still exact; the A1
-   ablation benchmark measures this trade);
+   feasibility prune disabled.  Still exact, and it rescues a caller-set
+   ``max_constraints`` cap: the prune charges the Fourier-Motzkin rows
+   of its own feasibility tests, the unpruned compile does not;
 3. **approximate** — Monte Carlo hit-or-miss sampling sized from
    ``(epsilon, delta)`` by the Hoeffding bound, with a reported confidence
    radius.  It samples the quantifier-free matrix of a plan an exact rung
    compiled, or else eliminates quantifiers itself (under the budget).
 
-Rungs 1 and 2 run under the given :class:`~repro.guard.budget.Budget`
+Every rung runs under the given :class:`~repro.guard.budget.Budget`
 (countable consumption is reset between rungs; the wall-clock deadline is
-absolute).  Sampling runs with the budget *suspended*: its cost is fixed by
-``(epsilon, delta)``, and it must not be killed by the deadline that
-forced the fallback.  The result carries ``mode`` in ``{"exact",
-"exact-coarse", "approximate"}``, the exhaustion errors of the rungs that
-failed, and the first plan a rung compiled.
+absolute), so an approximate answer asked for directly trips ``deadline``
+like any other query.  Only sampling *after* an exact rung exhausted the
+budget runs with it suspended: its cost is fixed by ``(epsilon, delta)``,
+and it must not be killed by the deadline that forced the fallback.  The
+result carries ``mode`` in ``{"exact", "exact-coarse", "approximate"}``,
+the exhaustion errors of the rungs that failed, and the first plan a rung
+compiled.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -136,8 +142,9 @@ def robust_volume(
                 obs.observe_value("guard.fallback.attempts", len(attempts))
                 return RobustResult(value, mode, attempts=attempts, plan=plan)
 
-        result = _approximate_volume(
-            query, variables, box, budget, epsilon, delta, rng, plan
+        result = _sample_volume(
+            query, variables, box, budget, epsilon, delta, rng, plan,
+            suspended=bool(attempts),
         )
         result.attempts = attempts
         span.set(mode="approximate")
@@ -145,9 +152,10 @@ def robust_volume(
         return result
 
 
-def _approximate_volume(
-    query, variables, box, budget, epsilon, delta, rng, plan
+def _sample_volume(
+    query, variables, box, budget, epsilon, delta, rng, plan, suspended
 ) -> RobustResult:
+    """The Monte Carlo rung; *suspended* once an exact rung spent the budget."""
     from ..geometry.sampling import hoeffding_volume
 
     if plan is not None:
@@ -171,8 +179,10 @@ def _approximate_volume(
             with govern(budget):
                 formula = qe_linear(formula)
 
-    with suspend():
+    start = time.perf_counter()
+    with suspend() if suspended else govern(budget):
         estimate = hoeffding_volume(formula, variables, epsilon, delta, rng, box)
+    obs.observe_value("engine.query.mc_s", time.perf_counter() - start)
     return RobustResult(
         estimate.estimate,
         "approximate",

@@ -253,7 +253,6 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "engine.eval.memo_hit": (
         "counter", "volume evaluations answered by a plan's per-box memo"),
     "engine.eval.truth": ("counter", "point-membership evaluations of prepared plans"),
-    "engine.eval.approx": ("counter", "Monte Carlo evaluations of prepared plans"),
     "engine.eval.decide": ("counter", "cached CAD decisions served"),
     "engine.batch.runs": ("counter", "batch-executor invocations"),
     "engine.batch.tasks": ("counter", "manifest tasks submitted to the executor"),
@@ -290,7 +289,7 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "engine.query.volume_s": (
         "histogram", "seconds per exact volume evaluation of a prepared plan"),
     "engine.query.mc_s": (
-        "histogram", "seconds per Monte Carlo evaluation of a prepared plan"),
+        "histogram", "seconds per Monte Carlo volume estimate of the fallback ladder"),
     "cad.cells_per_decision": (
         "histogram", "cells lifted per CAD decision-procedure run"),
     "guard.fallback.attempts": (

@@ -18,7 +18,6 @@ from .fourier_motzkin import (
     eliminate_variable,
     is_feasible,
     qe_linear,
-    remove_redundant,
 )
 from .dense_order import check_dense_order, decide_dense_order, qe_dense_order
 from .intervals import Endpoint, Interval, IntervalUnion, rational_between
@@ -36,7 +35,6 @@ __all__ = [
     "conjunct_to_constraints",
     "constraints_to_formula",
     "is_feasible",
-    "remove_redundant",
     "check_dense_order",
     "qe_dense_order",
     "decide_dense_order",

@@ -33,7 +33,6 @@ __all__ = [
     "conjunct_to_constraints",
     "constraints_to_formula",
     "is_feasible",
-    "remove_redundant",
 ]
 
 
@@ -163,28 +162,6 @@ def is_feasible(constraints: Sequence[LinConstraint]) -> bool:
         if current is None:
             return False
     return True
-
-
-def remove_redundant(constraints: Sequence[LinConstraint]) -> list[LinConstraint]:
-    """Remove constraints implied by the rest (exact, via feasibility tests).
-
-    A constraint c is redundant iff (rest AND not-c) is infeasible.  Since
-    ``not c`` can be a disjunction (for equalities), every branch must be
-    infeasible.
-    """
-    kept = list(constraints)
-    index = 0
-    while index < len(kept):
-        guard.checkpoint()
-        candidate = kept[index]
-        rest = kept[:index] + kept[index + 1:]
-        negation_branches = candidate.negated_formulas()
-        if all(not is_feasible(rest + [branch]) for branch in negation_branches):
-            kept.pop(index)
-            obs.add("fm.constraints_pruned")
-        else:
-            index += 1
-    return kept
 
 
 def constraints_to_formula(constraints: Sequence[LinConstraint]) -> Formula:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from repro.approx import (
-    approximate_vol_unit_cube,
     convex_relative_approximation,
     epsilon_band_to_relative,
     is_valid_absolute_approximation,
@@ -18,6 +17,7 @@ from repro.approx import (
 )
 from repro.db import FiniteInstance, Schema
 from repro.geometry import formula_to_cells, formula_volume_unit_cube
+from repro.geometry.sampling import hoeffding_volume
 from repro.logic import Relation, between, variables
 from repro._errors import ApproximationError
 
@@ -70,7 +70,7 @@ class TestTrivialApproximation:
 class TestMonteCarlo:
     def test_epsilon_delta_contract(self, rng):
         f = x**2 + y**2 < 1
-        estimate = approximate_vol_unit_cube(f, ("x", "y"), 0.05, 0.05, rng)
+        estimate = hoeffding_volume(f, ("x", "y"), 0.05, 0.05, rng)
         assert abs(estimate.estimate - math.pi / 4) < 0.05
 
 

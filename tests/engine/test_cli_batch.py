@@ -110,6 +110,9 @@ class TestBatch:
         records = [json.loads(line) for line in out.splitlines() if line]
         assert all(r["mode"] == "compile-only" for r in records)
         assert all("value" not in r for r in records)
+        # The approx row samples without a plan, so it compiles nothing.
+        (mc,) = [r for r in records if r["id"] == "mc"]
+        assert "cached_key" not in mc and "cells" not in mc
 
         code, out, err = run_cli(
             "batch", manifest, "--plan-store", store, "--workers", "2"
@@ -118,11 +121,14 @@ class TestBatch:
         assert "compiles=0" in err
         records = [json.loads(line) for line in out.splitlines() if line]
         assert {r["status"] for r in records} == {"ok"}
-        # tri/clip/mc share one content hash; root2 is the other: the
-        # first occurrence of each is a store hit, the rest memory hits.
-        assert all(r["cache"]["misses"] == 0 for r in records)
-        assert sum(r["cache"]["store_hits"] for r in records) == 2
-        assert sum(r["cache"]["hits"] for r in records) == 2
+        # tri/clip share one content hash; root2 is the other: the first
+        # occurrence of each is a store hit, the rest memory hits.  The
+        # approx row compiles nothing and carries no provenance.
+        by_id = {r["id"]: r for r in records}
+        assert "cache" not in by_id.pop("mc")
+        assert all(r["cache"]["misses"] == 0 for r in by_id.values())
+        assert sum(r["cache"]["store_hits"] for r in by_id.values()) == 2
+        assert sum(r["cache"]["hits"] for r in by_id.values()) == 1
 
     def test_compile_only_needs_a_destination(self, manifest):
         code, _, err = run_cli("batch", manifest, "--compile-only")
@@ -234,8 +240,10 @@ class TestTraceOut:
         assert summary["tasks"] == 4 and summary["ok"] == 4
         assert summary["workers"] == 1
         assert summary["wall_s"] > 0
-        # Timing histograms live in the summary, complete with buckets.
-        assert summary["histograms"]["engine.plan.compile_s"]["count"] == 4
+        # Timing histograms live in the summary, complete with buckets;
+        # the approx row samples without compiling.
+        assert summary["histograms"]["engine.plan.compile_s"]["count"] == 3
+        assert summary["histograms"]["engine.query.mc_s"]["count"] == 1
 
     def test_results_do_not_leak_snapshots(self, manifest, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
@@ -317,16 +325,16 @@ class TestMetricsCommand:
         code, out, _ = run_cli("metrics", str(trace_path))
         assert code == 0
         assert "# TYPE repro_engine_compile counter" in out
-        assert "repro_engine_compile_total 4" in out
+        assert "repro_engine_compile_total 3" in out
         assert "# TYPE repro_engine_plan_compile_s histogram" in out
-        assert 'repro_engine_plan_compile_s_bucket{le="+Inf"} 4' in out
-        assert "repro_engine_plan_compile_s_count 4" in out
+        assert 'repro_engine_plan_compile_s_bucket{le="+Inf"} 3' in out
+        assert "repro_engine_plan_compile_s_count 3" in out
         assert "repro_engine_plan_compile_s_sum" in out
 
     def test_run_directly_from_manifest(self, manifest):
         code, out, _ = run_cli("metrics", manifest)
         assert code == 0
-        assert "repro_engine_compile_total 4" in out
+        assert "repro_engine_compile_total 3" in out
         assert "# TYPE repro_engine_plan_compile_s histogram" in out
 
     def test_out_file(self, manifest, tmp_path):
@@ -351,7 +359,7 @@ class TestMetricsCommand:
             code, out, err = run_cli("metrics", str(trace_path))
         assert code == 0
         assert "skipped 1 unreadable record" in err
-        assert "repro_engine_compile_total 4" in out
+        assert "repro_engine_compile_total 3" in out
 
     def test_missing_input_fails_loudly(self, tmp_path):
         code, _, err = run_cli("metrics", str(tmp_path / "nope.jsonl"))
@@ -373,7 +381,7 @@ class TestMetricsStdin:
         )
         code, out, _ = run_cli("metrics", "-")
         assert code == 0
-        assert "repro_engine_compile_total 4" in out
+        assert "repro_engine_compile_total 3" in out
         assert "# TYPE repro_engine_plan_compile_s histogram" in out
 
     def test_manifest_from_stdin(self, monkeypatch):
@@ -382,7 +390,7 @@ class TestMetricsStdin:
         monkeypatch.setattr("sys.stdin", io_module.StringIO(MANIFEST))
         code, out, _ = run_cli("metrics", "-")
         assert code == 0
-        assert "repro_engine_compile_total 4" in out
+        assert "repro_engine_compile_total 3" in out
 
     def test_corrupt_stdin_record_named_as_stdin(
         self, manifest, tmp_path, monkeypatch
@@ -402,7 +410,7 @@ class TestMetricsStdin:
         assert code == 0
         assert "skipped 1 unreadable record" in err
         assert "<stdin>" in err
-        assert "repro_engine_compile_total 4" in out
+        assert "repro_engine_compile_total 3" in out
 
 
 class TestBatchJsonStoreDelta:

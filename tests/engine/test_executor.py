@@ -6,7 +6,13 @@ import pytest
 
 from repro import obs
 from repro._errors import ReproError
-from repro.engine import execute_task, normalize_task, run_batch, task_seed
+from repro.engine import (
+    execute_task,
+    normalize_task,
+    run_batch,
+    task_key,
+    task_seed,
+)
 
 TRIANGLE = "0 <= y AND y <= x AND x <= 1"
 
@@ -182,6 +188,62 @@ class TestExecuteTask:
         assert abs(result["value"] - 0.785) <= result["confidence_radius"]
 
 
+class TestApproxRows:
+    """``op: approx`` rows run the ladder's Monte Carlo rung, nothing else."""
+
+    def test_nonlinear_formula_is_sampled(self):
+        task = normalize_task(
+            {"op": "approx", "formula": "x*x + y*y < 1", "epsilon": 0.2}, 0
+        )
+        result = execute_task(task, seed=0)
+        assert result["status"] == "ok"
+        assert result["mode"] == "approximate"
+        assert abs(result["value"] - 0.785) <= result["confidence_radius"]
+
+    def test_compiles_nothing(self):
+        task = normalize_task({"op": "approx", "formula": TRIANGLE}, 0)
+        obs.enable_counting()
+        result = execute_task(task, seed=0)
+        assert result["status"] == "ok"
+        assert "cached_key" not in result and "cells" not in result
+        assert obs.REGISTRY.value("engine.compile") == 0
+        assert task_key(task) is None
+
+    def test_compile_only_reports_no_plan_fields(self):
+        task = normalize_task({"op": "approx", "formula": TRIANGLE}, 0)
+        result = execute_task(task, seed=0, compile_only=True)
+        assert strip_timing(result) == {
+            "id": 0, "op": "approx", "seed": 0, "mode": "compile-only",
+            "status": "ok",
+        }
+
+    def test_sampling_stops_at_the_deadline(self):
+        # epsilon 0.0005 asks for ~7.4 million samples.
+        task = normalize_task(
+            {"op": "approx", "formula": TRIANGLE, "epsilon": 0.0005}, 0
+        )
+        result = execute_task(task, seed=0, timeout=0.05)
+        assert result["status"] == "budget-exceeded"
+        assert result["resource"] == "deadline"
+        assert result["elapsed_s"] < 1.0
+
+    def test_trace_is_rooted_at_the_ladder(self):
+        task = normalize_task({"op": "approx", "formula": TRIANGLE}, 0)
+        result = execute_task(task, seed=0, collect_obs=True)
+        (root,) = result["obs"]["spans"]
+        assert root["name"] == "guard.robust_volume"
+        assert root["attrs"]["policy"] == "approx-only"
+
+    @pytest.mark.parametrize("op", ["approx", "volume"])
+    def test_box_of_the_wrong_length_is_an_error(self, op):
+        task = normalize_task(
+            {"op": op, "formula": TRIANGLE, "box": [["0", "1"]]}, 0
+        )
+        result = execute_task(task, seed=0, fallback="approx-only")
+        assert result["status"] == "error"
+        assert "box must give bounds" in result["error"]
+
+
 class TestRunBatch:
     TASKS = [
         {"id": "tri", "formula": TRIANGLE},
@@ -281,8 +343,9 @@ class TestCollectObs:
         assert (
             obs.REGISTRY.histogram("engine.plan.compile_s").count
             == merged.histogram("engine.plan.compile_s").count
-            == 4  # the broken task never reaches compile
+            == 3  # mc samples without a plan; broken never reaches compile
         )
+        assert merged.histogram("engine.query.mc_s").count == 1
 
     def test_ambient_merge_independent_of_worker_count(self):
         obs.enable_counting()

@@ -12,6 +12,7 @@ from repro.geometry import formula_volume_unit_cube
 from repro.geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
 from repro.guard import Budget, BudgetExceeded, robust_volume
 from repro.logic import evaluate, parse
+from repro.qe import qe_linear
 
 TRIANGLE = "0 <= y AND y <= x AND x <= 1"
 BAND = "EXISTS z . (y <= z AND z <= x AND 0 <= z AND z <= 1)"
@@ -72,18 +73,21 @@ class TestTruth:
 
 class TestApprox:
     def test_bitwise_identical_to_cold_run(self):
-        plan = prepare(BAND, cache=None)
+        """The ladder's Monte Carlo rung samples the QE'd query, no plan."""
         epsilon = delta = 0.2
-        estimate = plan.approx_volume(
-            epsilon, delta, rng=np.random.default_rng(7)
+        estimate = robust_volume(
+            BAND, epsilon=epsilon, delta=delta, policy="approx-only",
+            rng=np.random.default_rng(7),
         )
         samples = hoeffding_sample_size(epsilon, delta)
         cold = hit_or_miss_volume(
-            plan.qf, plan.variables, samples, np.random.default_rng(7),
-            box=[(0.0, 1.0)] * 2, delta=delta,
+            qe_linear(parse(BAND)), ("x", "y"), samples,
+            np.random.default_rng(7), box=[(0.0, 1.0)] * 2, delta=delta,
         )
-        assert estimate.estimate == cold.estimate
+        assert estimate.value == cold.estimate
         assert estimate.samples == cold.samples
+        assert estimate.confidence_radius == cold.confidence_radius
+        assert estimate.plan is None
 
 
 class TestRobust:
@@ -169,12 +173,6 @@ class TestCompile:
         with pytest.raises(QEError, match="not semi-linear"):
             prepare("EXISTS y . (y*y < x)", cache=None)
 
-    def test_certify_produces_satisfying_witness(self):
-        plan = prepare(TRIANGLE, cache=None, certify=True)
-        assert plan.witness is not None
-        formula = parse(TRIANGLE)
-        assert evaluate(formula, plan.witness)
-
     def test_compile_budget_is_enforced(self):
         with pytest.raises(BudgetExceeded):
             prepare(BAND, cache=None, budget=Budget(deadline_s=0.0))
@@ -217,14 +215,22 @@ class TestCacheIntegration:
 
 class TestPersistence:
     def test_record_roundtrip_volume(self):
-        plan = prepare(BAND, cache=None, certify=True)
+        plan = prepare(BAND, cache=None)
         clone = PreparedQuery.from_record(plan.to_record())
         assert clone.key == plan.key
         assert clone.kind == plan.kind
         assert clone.variables == plan.variables
         assert clone.volume() == plan.volume()
-        assert clone.witness == plan.witness
         assert clone.provenance.source == "store"
+
+    def test_v1_record_with_a_witness_decodes(self):
+        """Older writers stored a CAD witness point; readers ignore it."""
+        record = prepare(TRIANGLE, cache=None).to_record()
+        assert "witness" not in record
+        record["witness"] = {"x": "1/2", "y": "1/4"}
+        clone = PreparedQuery.from_record(record)
+        assert clone.key == record["key"]
+        assert clone.volume() == Fraction(1, 2)
 
     def test_record_roundtrip_decide(self):
         plan = prepare("EXISTS x . x*x = 2", kind="decide", cache=None)

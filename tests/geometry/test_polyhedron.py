@@ -7,7 +7,7 @@ import pytest
 from repro.logic import variables
 from repro.geometry import Polyhedron, formula_to_cells
 from repro.qe import compare_to_constraints
-from repro._errors import GeometryError, UnboundedSetError
+from repro._errors import GeometryError
 
 x, y, z = variables("x y z")
 
@@ -61,15 +61,9 @@ class TestBoundsAndBoundedness:
         assert simplex.coordinate_bounds("x") == (0, 1)
         assert simplex.coordinate_bounds("y") == (0, 1)
 
-    def test_bounding_box(self):
-        box = simplex2d().bounding_box()
-        assert box == [(0, 1), (0, 1)]
-
     def test_unbounded_detected(self):
         halfplane = polyhedron_of((x >= 0), ("x", "y"))
         assert not halfplane.is_bounded()
-        with pytest.raises(UnboundedSetError):
-            halfplane.bounding_box()
 
     def test_empty_is_bounded(self):
         (c1,) = compare_to_constraints(x > 1)
@@ -137,9 +131,3 @@ class TestFromVertices2D:
     def test_needs_three_vertices(self):
         with pytest.raises(GeometryError):
             Polyhedron.from_vertices_2d(("x", "y"), [(Fraction(0), Fraction(0))])
-
-
-class TestSimplified:
-    def test_redundant_constraint_dropped(self):
-        p = polyhedron_of((x >= 0) & (x <= 1) & (x <= 2), ("x",))
-        assert len(p.simplified().constraints) == 2

@@ -83,6 +83,22 @@ class TestDegradation:
         assert result.value == Fraction(1, 2)
         assert [mode for mode, _ in result.attempts] == ["exact"]
 
+    @pytest.mark.parametrize("cap, mode, attempts", [
+        (35, "exact-coarse", [("exact", "constraints")]),
+        (38, "exact", []),
+    ])
+    def test_coarse_rung_rescues_a_constraint_cap(self, cap, mode, attempts):
+        # The feasibility prune charges the Fourier-Motzkin rows of its own
+        # tests; the unpruned compile does not, so it fits a tighter cap.
+        result = robust_volume(
+            "EXISTS a . (0 <= a AND a <= 1 AND x <= a AND y <= 1 - a"
+            " AND 0 <= x AND 0 <= y)",
+            ("x", "y"), budget=Budget(max_constraints=cap), policy="auto",
+        )
+        assert result.mode == mode
+        assert result.value == Fraction(1, 2)
+        assert [(m, e.resource) for m, e in result.attempts] == attempts
+
     def test_deadline_degrades_to_approximate(self):
         result = robust_volume(
             TRIANGLE, ("x", "y"), budget=Budget(deadline_s=0), policy="auto",

@@ -91,6 +91,24 @@ class TestCLIObservability:
         assert first == second
         assert first != third
 
+    def test_approx_prints_the_approx_only_volume_line(self):
+        formula = "EXISTS z . (0 <= z AND z <= y AND y <= x AND x <= 1)"
+        approx = run_cli("approx", "--seed", "3", formula)
+        volume = run_cli(
+            "volume", "--fallback", "approx-only", "--seed", "3", formula
+        )
+        assert approx == volume
+        assert "mode=approximate" in approx
+
+    def test_approx_stops_at_the_deadline(self):
+        # epsilon 0.0001 asks for ~184 million samples.
+        code, out, err = run_cli_raw(
+            "approx", "--epsilon", "0.0001", "--timeout", "0.05", FORMULA
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("repro: budget exceeded: deadline")
+
 
 FORMULA = "0 <= y AND y <= x AND x <= 1"
 

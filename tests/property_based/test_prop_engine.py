@@ -10,14 +10,29 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.engine import PlanCache, PreparedQuery, prepare
+from repro.engine import (
+    PlanCache,
+    PreparedQuery,
+    execute_task,
+    normalize_task,
+    prepare,
+)
 from repro.engine.canon import canonical_formula
 from repro.geometry import formula_volume_unit_cube
 from repro.geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
 from repro.guard import Budget, robust_volume
-from repro.logic import Compare, Const, Exists, Var, evaluate, is_quantifier_free
+from repro.logic import (
+    Compare,
+    Const,
+    Exists,
+    Var,
+    evaluate,
+    formula_to_str,
+    is_quantifier_free,
+    parse,
+)
 from repro.qe import qe_linear
 
 rationals = st.fractions(
@@ -89,15 +104,39 @@ def test_prepared_truth_equals_cold_evaluate(formula):
 @settings(max_examples=15, deadline=None)
 @given(volume_queries(), st.integers(0, 2**31 - 1))
 def test_prepared_estimate_is_bitwise_cold(formula, seed):
+    """The ladder's Monte Carlo rung is the cold sampler, bit for bit."""
     epsilon = delta = 0.5  # few samples; the property is stream identity
-    plan = prepare(formula, VARS, cache=None)
-    warm = plan.approx_volume(epsilon, delta, rng=np.random.default_rng(seed))
+    ladder = robust_volume(
+        formula, VARS, epsilon=epsilon, delta=delta, policy="approx-only",
+        rng=np.random.default_rng(seed),
+    )
+    matrix = formula if is_quantifier_free(formula) else qe_linear(formula)
     cold = hit_or_miss_volume(
-        plan.qf, VARS, hoeffding_sample_size(epsilon, delta),
+        matrix, VARS, hoeffding_sample_size(epsilon, delta),
         np.random.default_rng(seed), box=[(0.0, 1.0)] * 2, delta=delta,
     )
-    assert warm.estimate == cold.estimate
-    assert warm.samples == cold.samples
+    assert ladder.value == cold.estimate
+    assert ladder.samples == cold.samples
+    assert ladder.plan is None
+
+
+@settings(max_examples=15, deadline=None)
+@given(volume_queries(), st.integers(0, 2**31 - 1))
+@example(parse("x*x + y*y < 1"), 0)
+def test_approx_row_equals_approx_only_volume_row(formula, seed):
+    """Both front-end spellings of an approximate volume are one path."""
+    text = formula_to_str(formula)
+    rows = [
+        execute_task(
+            normalize_task({"op": op, "formula": text, "epsilon": 0.3}, 0),
+            seed=seed, fallback=fallback,
+        )
+        for op, fallback in (("approx", "off"), ("volume", "approx-only"))
+    ]
+    fields = ("status", "value", "samples", "confidence_radius")
+    approx, volume = ({k: row.get(k) for k in fields} for row in rows)
+    assert approx == volume
+    assert approx["status"] == "ok"
 
 
 @settings(max_examples=15, deadline=None)

@@ -13,7 +13,6 @@ from repro.qe import (
     eliminate_variable,
     is_feasible,
     qe_linear,
-    remove_redundant,
 )
 from repro._errors import QEError
 
@@ -189,21 +188,3 @@ class TestFeasibility:
             data.draw(st.sampled_from(["<", "<="])),
         )
         assert is_feasible(rows + [opposite]) is False
-
-
-class TestRedundancy:
-    def test_dominated_constraint_removed(self):
-        (constraints,) = conjunct_to_constraints([x < 1, x < 2])
-        kept = remove_redundant(constraints)
-        assert len(kept) == 1
-        assert kept[0].evaluate({"x": Fraction(3, 2)}) is False
-
-    def test_non_redundant_kept(self):
-        (constraints,) = conjunct_to_constraints([x > 0, x < 1])
-        assert len(remove_redundant(constraints)) == 2
-
-    def test_implied_by_combination(self):
-        # x < 1, y < 1 imply x + y < 2.
-        (constraints,) = conjunct_to_constraints([x < 1, y < 1, x + y < 2])
-        kept = remove_redundant(constraints)
-        assert len(kept) == 2

@@ -39,7 +39,8 @@ Global options
                 a coarser exact strategy and then to Monte Carlo when the
                 budget trips; ``off`` (default) propagates the exhaustion.
                 For ``batch``, the policy (and ``--timeout``/``--max-cells``)
-                applies per task
+                applies per task.  ``approx`` always samples: it accepts
+                only ``approx-only`` and exits 2 on ``off`` or ``auto``
 
 Exit codes
 ----------
@@ -843,6 +844,12 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("json", "seed", "timeout", "max_cells", "fallback"):
             if not hasattr(args, name) and hasattr(outer, name):
                 setattr(args, name, getattr(outer, name))
+
+    if args.command == "approx" and getattr(args, "fallback", "approx-only") != "approx-only":
+        # Read before the default below erases whether the flag was given.
+        print(f"repro: error: approx always samples; --fallback {args.fallback} "
+              "does not apply (use volume --fallback)", file=sys.stderr)
+        return 2
 
     args.stats = getattr(args, "stats", False)
     args.json = getattr(args, "json", None)

@@ -7,7 +7,7 @@ Loewner-John / Qhull baselines.
 """
 
 from .polyhedron import Point, Polyhedron
-from .linalg import determinant, gaussian_elimination_rank, solve_linear_system
+from .linalg import determinant, gaussian_elimination_rank, solve_integer_system
 from .volume import (
     integrate_upoly,
     lagrange_interpolate,
@@ -42,7 +42,7 @@ from .variable_independence import (
 __all__ = [
     "Polyhedron",
     "Point",
-    "solve_linear_system",
+    "solve_integer_system",
     "determinant",
     "gaussian_elimination_rank",
     "polytope_volume",

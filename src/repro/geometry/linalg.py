@@ -1,41 +1,58 @@
-"""Exact rational linear algebra helpers for polyhedral geometry."""
+"""Exact integer and rational linear algebra helpers for polyhedral geometry."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["solve_linear_system", "determinant", "gaussian_elimination_rank"]
+__all__ = ["solve_integer_system", "determinant", "gaussian_elimination_rank"]
 
 
-def solve_linear_system(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[Fraction, ...] | None:
-    """Solve ``matrix @ x = rhs`` exactly.
+def solve_integer_system(
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[tuple[int, ...], int] | None:
+    """Solve ``matrix @ x = rhs`` over the integers, fraction-free.
 
-    Returns the unique solution, or ``None`` if the system is singular
-    (no solution or infinitely many).
+    Returns ``(numerators, denominator)`` with ``x[i] = numerators[i] /
+    denominator``, ``denominator > 0`` and the gcd of all of them 1, so
+    equal solutions give equal pairs.  Returns ``None`` if the system is
+    singular (no solution or infinitely many).
+
+    Bareiss's fraction-free Gauss-Jordan elimination: after the step on
+    column ``k`` every entry is a minor of the augmented matrix, so each
+    update divides exactly by the previous pivot, and at the end every
+    diagonal entry is the determinant (up to the sign of the row swaps)
+    and the last column holds Cramer's numerators.
     """
     n = len(matrix)
-    if n == 0:
-        return ()
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("square system required")
-    # Augmented matrix, Gaussian elimination with partial (nonzero) pivoting.
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    if n == 0:
+        return (), 1
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    previous = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
             return None
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
+        top = aug[col]
+        pivot = top[col]
         for r in range(n):
-            if r == col or aug[r][col] == 0:
+            if r == col:
                 continue
-            factor = aug[r][col] / pivot
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    return tuple(aug[i][n] / aug[i][i] for i in range(n))
+            row = aug[r]
+            factor = row[col]
+            for c in range(n + 1):
+                row[c] = (pivot * row[c] - factor * top[c]) // previous
+        previous = pivot
+    denominator = previous
+    numerators = [aug[i][n] for i in range(n)]
+    divisor = math.gcd(denominator, *numerators)
+    if denominator < 0:
+        divisor = -divisor
+    return tuple(v // divisor for v in numerators), denominator // divisor
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

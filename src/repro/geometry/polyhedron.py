@@ -5,6 +5,12 @@ constraints over an ordered tuple of variables.  These are the *cells* of
 semi-linear sets: every semi-linear set is a finite union of such cells
 (via DNF).  All predicates — emptiness, boundedness, membership — and the
 vertex enumeration are exact.
+
+:meth:`Polyhedron.vertices` is the exact kernel of the volume integrator:
+it runs in integer arithmetic, and the integrator takes each cell's span
+along the slicing axis from its vertices.  Boundedness is a separate
+check through the recession cone (:meth:`Polyhedron.recession_cone_is_zero`),
+which runs the same kernel.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..qe.fourier_motzkin import eliminate_variable, is_feasible
+from ..qe.fourier_motzkin import is_feasible
 from ..qe.linear import LinConstraint, tightest
 from .._errors import GeometryError
-from .linalg import solve_linear_system
+from .linalg import solve_integer_system
 
 __all__ = ["Polyhedron", "Point"]
 
@@ -115,58 +121,43 @@ class Polyhedron:
             raise GeometryError("cannot intersect polyhedra over different variables")
         return Polyhedron(self.variables, self.constraints + other.constraints)
 
-    # -- projections and bounds ------------------------------------------------
-    def project_to(self, var: str) -> list[LinConstraint]:
-        """Fourier-Motzkin projection onto a single coordinate."""
-        if var not in self.variables:
-            raise GeometryError(f"unknown variable {var!r}")
-        current: list[LinConstraint] | None = list(self.constraints)
-        for other in self.variables:
-            if other == var:
-                continue
-            current = eliminate_variable(other, current)
-            if current is None:
-                return [LinConstraint.make({}, 1, "<")]  # infeasible marker
-        return current or []
-
-    def coordinate_bounds(
-        self, var: str
-    ) -> tuple[Fraction | None, Fraction | None]:
-        """(min, max) of coordinate *var* over the closure; ``None`` = unbounded.
-
-        Raises :class:`GeometryError` on an empty polyhedron.
-        """
-        shadow = self.project_to(var)
-        low: Fraction | None = None
-        high: Fraction | None = None
-        feasible = True
-        for constraint in shadow:
-            if constraint.is_constant():
-                if not constraint.constant_truth():
-                    feasible = False
-                continue
-            coeff = constraint.coeff(var)
-            bound = -constraint.constant / coeff
-            if constraint.op == "=":
-                low = bound if low is None else max(low, bound)
-                high = bound if high is None else min(high, bound)
-            elif coeff > 0:  # var <= bound
-                high = bound if high is None else min(high, bound)
-            else:  # var >= bound
-                low = bound if low is None else max(low, bound)
-        if not feasible:
-            raise GeometryError("empty polyhedron has no coordinate bounds")
-        return low, high
-
+    # -- boundedness -------------------------------------------------------------
     def is_bounded(self) -> bool:
         """Exact boundedness test (empty polyhedra count as bounded)."""
-        if self.is_empty():
+        return self.is_empty() or self.recession_cone_is_zero()
+
+    def recession_cone_is_zero(self) -> bool:
+        """True iff no direction ``y != 0`` satisfies every row with its
+        constant dropped; for a non-empty polyhedron, iff it is bounded.
+
+        A polyhedron can have vertices and still be unbounded, and one that
+        contains a line has none, so boundedness is its own check.  When
+        every variable has a one-variable upper row and a one-variable
+        lower row (every clipped cell and every slice of one has) the
+        answer is read off the rows.  Otherwise the cone, cut to
+        ``[-1, 1]^d``, is a polytope whose only vertex is the origin
+        exactly when the cone is ``{0}``.
+        """
+        uppers: set[str] = set()
+        lowers: set[str] = set()
+        for constraint in self.constraints:
+            if len(constraint.coeffs) == 1:
+                ((name, coeff),) = constraint.coeffs
+                if coeff > 0 or constraint.op == "=":
+                    uppers.add(name)
+                if coeff < 0 or constraint.op == "=":
+                    lowers.add(name)
+        if all(v in uppers and v in lowers for v in self.variables):
             return True
+        cone = [
+            LinConstraint(c.coeffs, Fraction(0), "=" if c.op == "=" else "<=")
+            for c in self.constraints if c.coeffs
+        ]
         for var in self.variables:
-            low, high = self.coordinate_bounds(var)
-            if low is None or high is None:
-                return False
-        return True
+            cone.append(LinConstraint.make({var: 1}, -1, "<="))
+            cone.append(LinConstraint.make({var: -1}, -1, "<="))
+        origin = (Fraction(0),) * self.dimension
+        return Polyhedron(self.variables, tuple(cone)).vertices() == [origin]
 
     # -- substitution ----------------------------------------------------------
     def fix_variable(self, var: str, value: Fraction) -> "Polyhedron":
@@ -197,31 +188,46 @@ class Polyhedron:
         some ``d`` constraints taken as equalities that also satisfies all
         remaining (closed) constraints.  Exponential in ``d`` but exact;
         intended for the small dimensions of the paper's examples.
+
+        The arithmetic is fraction-free: each row is scaled by its
+        constant's denominator to all-integer, each ``d``-subset is solved
+        to integer numerators over a positive common denominator, and
+        membership is an integer dot product.  Only accepted vertices
+        become ``Fraction`` points; they come in the order of the first
+        subset that yields each.
         """
         d = len(self.variables)
         if d == 0:
             return []
-        closed = self.closure()
-        vertices: list[Point] = []
-        seen: set[Point] = set()
         # A looser parallel half-space is never tight at a point of the
-        # polyhedron, so it defines no vertex.
-        constraints = tightest(closed.constraints)
-        for subset in itertools.combinations(range(len(constraints)), d):
-            matrix = []
-            rhs = []
-            for index in subset:
-                constraint = constraints[index]
-                matrix.append([constraint.coeff(v) for v in self.variables])
-                rhs.append(-constraint.constant)
-            solution = solve_linear_system(matrix, rhs)
-            if solution is None:
+        # polyhedron, so it defines no vertex.  The scale is positive, so
+        # each row keeps its sense.
+        rows = [
+            ([c.coeff(v) * c.constant.denominator for v in self.variables],
+             c.constant.numerator, c.op == "=")
+            for c in tightest(self.closure().constraints)
+        ]
+        vertices: list[Point] = []
+        seen: set[tuple[tuple[int, ...], int]] = set()
+        for subset in itertools.combinations(rows, d):
+            solution = solve_integer_system(
+                [coeffs for coeffs, _, _ in subset],
+                [-constant for _, constant, _ in subset],
+            )
+            if solution is None or solution in seen:
                 continue
-            if solution in seen:
-                continue
-            if closed.contains(solution):
-                seen.add(solution)
-                vertices.append(solution)
+            seen.add(solution)
+            numerators, denominator = solution
+            for coeffs, constant, equality in rows:
+                value = constant * denominator
+                for a, n in zip(coeffs, numerators):
+                    value += a * n
+                if value > 0 or (equality and value):
+                    break
+            else:
+                vertices.append(
+                    tuple(Fraction(n, denominator) for n in numerators)
+                )
         return vertices
 
     def __str__(self) -> str:

@@ -42,10 +42,24 @@ def is_variable_independent(formula: Formula, variables: Sequence[str]) -> bool:
 
 
 def _box_volume(cell: Polyhedron) -> Fraction:
-    """Product of the per-coordinate interval lengths (the fast path)."""
+    """Product of the per-coordinate interval lengths (the fast path).
+
+    *cell* is a non-empty closed box, so each coordinate's interval is
+    read off the rows that mention it alone.
+    """
     total = Fraction(1)
     for var in cell.variables:
-        low, high = cell.coordinate_bounds(var)
+        low: Fraction | None = None
+        high: Fraction | None = None
+        for constraint in cell.constraints:
+            coeff = constraint.coeff(var)
+            if coeff == 0:
+                continue
+            bound = -constraint.constant / coeff
+            if coeff > 0 or constraint.op == "=":
+                high = bound if high is None else min(high, bound)
+            if coeff < 0 or constraint.op == "=":
+                low = bound if low is None else max(low, bound)
         if low is None or high is None:
             raise UnboundedSetError(f"cell unbounded in {var!r}")
         length = high - low

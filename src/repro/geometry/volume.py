@@ -7,6 +7,11 @@ between breakpoints, and integrate each piece.  This module implements
 exactly that computation with rational arithmetic, for one convex cell
 and for a union of cells alike:
 
+* the cells are checked bounded once, through their recession cones;
+  slices and intersections of bounded cells are bounded;
+* each cell's vertices are enumerated once: the least and greatest first
+  coordinate give its span along the slicing axis, and all of them are
+  breakpoints;
 * breakpoints are the first coordinates of the vertices of every cell and
   of every non-empty intersection of 2..d cells — the only places where
   the union's facial structure above the slicing axis can change — so a
@@ -76,6 +81,7 @@ def polytope_volume(polyhedron: Polyhedron) -> Fraction:
     closed = polyhedron.closure()
     if closed.is_empty():
         return Fraction(0)
+    _require_bounded(closed)
     return _slab_volume([closed])
 
 
@@ -99,19 +105,31 @@ def union_volume(cells: Sequence[Polyhedron]) -> Fraction:
     with obs.span("volume.union", cells=len(cells)):
         if len(cells) == 1:
             return polytope_volume(cells[0])
-        return _slab_volume([c.closure() for c in cells])
+        closed = [c.closure() for c in cells]
+        for cell in closed:
+            _require_bounded(cell)
+        return _slab_volume(closed)
+
+
+def _require_bounded(cell: Polyhedron) -> None:
+    """Raise :class:`UnboundedSetError` unless non-empty *cell* is bounded."""
+    if not cell.recession_cone_is_zero():
+        raise UnboundedSetError("the set is unbounded; volume is infinite")
 
 
 def _slab_volume(cells: list[Polyhedron]) -> Fraction:
-    """Volume of the union of non-empty closed *cells* (dimension >= 1)."""
+    """Volume of the union of non-empty, bounded, closed *cells*
+    (dimension >= 1)."""
     var = cells[0].variables[0]
     d = cells[0].dimension
+    # A non-empty bounded cell is the hull of its vertices, so its span
+    # along the slicing axis runs from its least to its greatest vertex.
+    breaks: set[Fraction] = set()
     spans = []
     for cell in cells:
-        low, high = cell.coordinate_bounds(var)
-        if low is None or high is None:
-            raise UnboundedSetError(f"unbounded in {var!r}; volume is infinite")
-        spans.append((low, high))
+        firsts = [vertex[0] for vertex in cell.vertices()]
+        breaks.update(firsts)
+        spans.append((min(firsts), max(firsts)))
     if d == 1:
         return _interval_union_length(spans)
 
@@ -120,15 +138,11 @@ def _slab_volume(cells: list[Polyhedron]) -> Fraction:
     # one cell at a time; one whose first-coordinate span is at most a
     # point adds no breakpoint beyond that span's ends, and neither do
     # its supersets, so it is not tested.
-    breaks = {bound for span in spans for bound in span}
     level = [(i, cell, span) for i, (cell, span) in enumerate(zip(cells, spans))]
-    for size in range(1, d + 1):
+    for _ in range(1, d):
         grown = []
         for last, region, (low, high) in level:
             guard.checkpoint()
-            breaks.update(vertex[0] for vertex in region.vertices())
-            if size == d:
-                continue
             for j in range(last + 1, len(cells)):
                 meet_span = (max(low, spans[j][0]), min(high, spans[j][1]))
                 if meet_span[0] >= meet_span[1]:
@@ -136,6 +150,7 @@ def _slab_volume(cells: list[Polyhedron]) -> Fraction:
                 obs.add("volume.intersections")
                 meet = region.intersect(cells[j])
                 if not meet.is_empty():
+                    breaks.update(vertex[0] for vertex in meet.vertices())
                     grown.append((j, meet, meet_span))
         level = grown
 

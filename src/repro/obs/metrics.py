@@ -190,7 +190,8 @@ CATALOGUE: dict[str, tuple[str, str]] = {
     "cad.section_roots": ("counter", "distinct section roots isolated during lifting"),
     "cad.projection_polys": (
         "counter", "polynomials produced by Collins projection (post-dedup)"),
-    "fm.eliminations": ("counter", "Fourier-Motzkin variable eliminations"),
+    "fm.eliminations": (
+        "counter", "Fourier-Motzkin variable eliminations (linear QE and feasibility tests)"),
     "fm.disjuncts": ("counter", "DNF disjuncts processed during linear QE"),
     "fm.disjuncts_pruned": (
         "counter", "infeasible disjuncts dropped by the feasibility prune"),

@@ -1,42 +1,36 @@
-"""Exact rational linear algebra."""
+"""Exact integer and rational linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from repro.geometry import determinant, gaussian_elimination_rank, solve_linear_system
+from repro.geometry import determinant, gaussian_elimination_rank, solve_integer_system
 
 
 class TestSolve:
     def test_unique_solution(self):
-        sol = solve_linear_system(
-            [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(-1)]],
-            [Fraction(3), Fraction(0)],
-        )
-        assert sol == (Fraction(1), Fraction(1))
+        assert solve_integer_system([[2, 1], [1, -1]], [3, 0]) == ((1, 1), 1)
 
     def test_singular_returns_none(self):
-        sol = solve_linear_system(
-            [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]],
-            [Fraction(1), Fraction(2)],
-        )
-        assert sol is None
+        assert solve_integer_system([[1, 1], [2, 2]], [1, 2]) is None
 
     def test_exactness(self):
-        sol = solve_linear_system(
-            [[Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 11), Fraction(1, 13)]],
-            [Fraction(1), Fraction(2)],
-        )
-        a, b = sol
-        assert a * Fraction(1, 3) + b * Fraction(1, 7) == 1
-        assert a * Fraction(1, 11) + b * Fraction(1, 13) == 2
+        # Reduced over a positive denominator, whatever the pivot signs.
+        matrix, rhs = [[0, -3], [7, 13]], [2, -5]
+        numerators, denominator = solve_integer_system(matrix, rhs)
+        assert denominator > 0
+        assert gcd(denominator, *numerators) == 1
+        a, b = (Fraction(n, denominator) for n in numerators)
+        assert (a, b) == (Fraction(11, 21), Fraction(-2, 3))
+        assert 7 * a + 13 * b == -5
 
     def test_empty_system(self):
-        assert solve_linear_system([], []) == ()
+        assert solve_integer_system([], []) == ((), 1)
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):
-            solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
+            solve_integer_system([[1]], [1, 2])
 
 
 class TestDeterminant:

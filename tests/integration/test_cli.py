@@ -100,6 +100,17 @@ class TestCLIObservability:
         assert approx == volume
         assert "mode=approximate" in approx
 
+    def test_approx_rejects_an_exact_fallback_policy(self):
+        for argv in (("approx", "--fallback", "off", FORMULA),
+                     ("--fallback", "auto", "approx", FORMULA),
+                     ("trace", "approx", "--fallback", "off", FORMULA)):
+            code, out, err = run_cli_raw(*argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("repro: error: approx always samples")
+            assert err.count("\n") == 1
+        run_cli("approx", "--fallback", "approx-only", "--seed", "3", FORMULA)
+
     def test_approx_stops_at_the_deadline(self):
         # epsilon 0.0001 asks for ~184 million samples.
         code, out, err = run_cli_raw(

@@ -2,7 +2,7 @@
 
 Paper claim: FO + POLY + SUM computes the exact volume of (a) every
 schema predicate of a semi-linear database and (b) every FO + LIN query
-output, by the slice-interpolate-integrate induction on dimension.
+output, by the slice-and-integrate induction on dimension.
 
 Reproduction: random semi-linear sets (unions of polytopes) in dimensions
 1-3 and FO + LIN query outputs over them.  Three computations must agree:

@@ -30,7 +30,6 @@ from typing import Sequence
 
 from ..db.evaluation import output_formula
 from ..geometry.decomposition import formula_to_cells, formula_volume
-from ..geometry.volume import union_volume
 from ..logic.builders import forall
 from ..logic.formulas import Formula, conjunction
 from ..logic.substitution import substitute
@@ -201,9 +200,9 @@ def volume_nd_fo_poly_sum(
 
     The proof: slice along the first coordinate; by induction the slice
     volume ``g(t)`` is computable, and between breakpoints it is a
-    polynomial of degree <= d-1, recovered exactly from d interior samples
-    (Lagrange) and integrated in closed form (the paper's deterministic
-    piece formula, generalised from the d = 2 case's
+    polynomial of degree <= d-1, integrated exactly as a fixed rational
+    combination of d interior samples (open Newton-Cotes weights; the
+    paper's deterministic piece formula, generalised from the d = 2 case's
     ``(m u^2 - m l^2)/2 + b (u - l)``).
 
     Breakpoints: the slice-volume of a *union* of cells can change its
@@ -218,4 +217,4 @@ def volume_nd_fo_poly_sum(
     if not variables:
         raise UnboundedSetError("volume needs at least one coordinate")
     output = output_formula(body, instance)
-    return union_volume(formula_to_cells(output, variables))
+    return formula_volume(output, variables)

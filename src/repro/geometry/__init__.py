@@ -8,12 +8,7 @@ Loewner-John / Qhull baselines.
 
 from .polyhedron import Point, Polyhedron
 from .linalg import determinant, gaussian_elimination_rank, solve_integer_system
-from .volume import (
-    integrate_upoly,
-    lagrange_interpolate,
-    polytope_volume,
-    union_volume,
-)
+from .volume import polytope_volume, union_volume
 from .decomposition import formula_to_cells, formula_volume, formula_volume_unit_cube
 from .sampling import (
     MonteCarloEstimate,
@@ -47,8 +42,6 @@ __all__ = [
     "gaussian_elimination_rank",
     "polytope_volume",
     "union_volume",
-    "lagrange_interpolate",
-    "integrate_upoly",
     "formula_to_cells",
     "formula_volume",
     "formula_volume_unit_cube",

@@ -17,56 +17,25 @@ and for a union of cells alike:
   the union's facial structure above the slicing axis can change — so a
   union of n cells costs O(C(n, <=d)) intersections, not 2^n;
 * on each open slab between breakpoints the slice-volume function is a
-  polynomial of degree <= d-1, recovered exactly by Lagrange interpolation
-  through d interior sample slices; a sample slices only the cells whose
+  polynomial of degree <= d-1, so its integral is a fixed rational
+  combination of d equally spaced interior samples (open Newton-Cotes
+  weights, exact for that degree); a sample slices only the cells whose
   first-coordinate span covers the slab and recurses on those slices;
-* each piece is integrated in closed form; in dimension 1 the volume of a
-  union of intervals is a sorted merge.
+* in dimension 1 the volume of a union of intervals is a sorted merge.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
-from ..realalg.univariate import UPoly
 from .. import guard, obs
 from .._errors import GeometryError, UnboundedSetError
+from .linalg import solve_integer_system
 from .polyhedron import Polyhedron
 
-__all__ = [
-    "polytope_volume",
-    "union_volume",
-    "lagrange_interpolate",
-    "integrate_upoly",
-]
-
-
-def lagrange_interpolate(
-    points: Sequence[tuple[Fraction, Fraction]]
-) -> UPoly:
-    """The unique polynomial of degree < len(points) through *points*."""
-    result = UPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = UPoly.constant(1)
-        denominator = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = basis * UPoly([-xj, 1])
-            denominator *= xi - xj
-        result = result + basis * (yi / denominator)
-    return result
-
-
-def integrate_upoly(poly: UPoly, low: Fraction, high: Fraction) -> Fraction:
-    """Definite integral of a rational polynomial over [low, high]."""
-    antiderivative = UPoly(
-        [Fraction(0)] + [c / (i + 1) for i, c in enumerate(poly.coeffs)]
-    )
-    return antiderivative(high) - antiderivative(low)
+__all__ = ["polytope_volume", "union_volume"]
 
 
 def polytope_volume(polyhedron: Polyhedron) -> Fraction:
@@ -155,8 +124,9 @@ def _slab_volume(cells: list[Polyhedron]) -> Fraction:
         level = grown
 
     # Between breakpoints the slice volume is a polynomial of degree
-    # <= d-1: d interior samples recover it exactly.  A cell is live in a
-    # slab iff its span covers it (span ends are breakpoints).
+    # <= d-1, so d interior samples with fixed weights integrate it
+    # exactly.  A cell is live in a slab iff its span covers it (span ends
+    # are breakpoints).
     breakpoints = sorted(breaks)
     total = Fraction(0)
     for left, right in zip(breakpoints, breakpoints[1:]):
@@ -165,17 +135,32 @@ def _slab_volume(cells: list[Polyhedron]) -> Fraction:
                 if low <= left and right <= high]
         if not live:
             continue
-        samples: list[tuple[Fraction, Fraction]] = []
-        for k in range(1, d + 1):
-            t = left + (right - left) * Fraction(k, d + 1)
+        width = right - left
+        weighted = Fraction(0)
+        for k, weight in enumerate(_slab_weights(d), start=1):
+            t = left + width * Fraction(k, d + 1)
             obs.add("volume.slices")
+            # A live cell spans the slab and t is interior, so each slice
+            # is non-empty, bounded and closed: no checks are needed.
             slices = [c.fix_variable(var, t) for c in live]
-            if len(slices) == 1:
-                samples.append((t, polytope_volume(slices[0])))
-            else:
-                samples.append((t, _slab_volume(slices)))
-        total += integrate_upoly(lagrange_interpolate(samples), left, right)
+            weighted += weight * _slab_volume(slices)
+        total += width * weighted
     return total
+
+
+@cache
+def _slab_weights(d: int) -> tuple[Fraction, ...]:
+    """Open Newton-Cotes weights of the nodes ``k/(d+1)``, ``k = 1..d``.
+
+    ``sum(w_k * f(k/(d+1)))`` is the integral of *f* over [0, 1] for every
+    polynomial of degree < d: the weights solve ``sum_k w_k (k/(d+1))^j =
+    1/(j+1)`` for ``j < d``, which is all-integer once row ``j`` is scaled
+    by ``(j+1)(d+1)^j``.
+    """
+    matrix = [[(j + 1) * k ** j for k in range(1, d + 1)] for j in range(d)]
+    numerators, denominator = solve_integer_system(
+        matrix, [(d + 1) ** j for j in range(d)])
+    return tuple(Fraction(n, denominator) for n in numerators)
 
 
 def _interval_union_length(spans: list[tuple[Fraction, Fraction]]) -> Fraction:

@@ -39,7 +39,6 @@ __all__ = [
     "PrenexForm",
     "qf_to_dnf",
     "is_quantifier_free",
-    "literals_of_conjunct",
 ]
 
 _QUANTIFIERS = (Exists, Forall, ExistsAdom, ForallAdom)
@@ -132,25 +131,16 @@ def _pull_quantifiers(formula: Formula, prefix: list[tuple[type, str]]) -> Formu
     return formula
 
 
-def qf_to_dnf(formula: Formula, max_conjuncts: int | None = None) -> list[list[Formula]]:
+def qf_to_dnf(formula: Formula) -> list[list[Formula]]:
     """Convert a quantifier-free formula to disjunctive normal form.
 
     Returns a list of conjuncts, each a list of literals (``Compare``,
     ``RelAtom`` or ``Not(RelAtom)``).  An empty list means ``FALSE``;
     a conjunct that is an empty list means ``TRUE``.
-
-    ``max_conjuncts`` guards against exponential blow-up; exceeding it
-    raises :class:`MemoryError`-flavoured ``ValueError``.
     """
     if not is_quantifier_free(formula):
         raise NotQuantifierFree("DNF conversion requires a quantifier-free formula")
-    nnf = to_nnf(formula)
-    dnf = _dnf(nnf)
-    if max_conjuncts is not None and len(dnf) > max_conjuncts:
-        raise ValueError(
-            f"DNF exceeded {max_conjuncts} conjuncts ({len(dnf)} produced)"
-        )
-    return dnf
+    return _dnf(to_nnf(formula))
 
 
 def _dnf(formula: Formula) -> list[list[Formula]]:
@@ -181,8 +171,3 @@ def _dnf(formula: Formula) -> list[list[Formula]]:
         guard.check_size(len(result))
         return result
     raise TypeError(f"unexpected node in quantifier-free NNF: {type(formula).__name__}")
-
-
-def literals_of_conjunct(conjunct: list[Formula]) -> Formula:
-    """Rebuild a conjunct (list of literals) into a single formula."""
-    return conjunction(*conjunct)

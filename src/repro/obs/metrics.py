@@ -200,7 +200,10 @@ CATALOGUE: dict[str, tuple[str, str]] = {
         "constraints dropped as constant-true, duplicate or scalar-multiple "
         "duplicate, looser parallel, or redundant"),
     "volume.cells": ("counter", "convex cells produced by formula decomposition"),
-    "volume.polytopes": ("counter", "polytope-volume evaluations (incl. recursion)"),
+    "volume.polytopes": (
+        "counter",
+        "polytope_volume calls: one-cell unions and direct callers (slab "
+        "samples recurse into the slab integrator, not here)"),
     "volume.slices": ("counter", "interior slice samples taken by Theorem-3 slicing"),
     "volume.intersections": (
         "counter", "≤ d-cell intersections tested for slicing breakpoints"),

@@ -148,8 +148,8 @@ def test_unbounded_cells_are_refused_with_or_without_vertices():
 
 
 @pytest.mark.parametrize("count,dims,polytopes,slices,intersections", [
-    (24, 2, 4, 32, 222),
-    (12, 3, 132, 483, 521),
+    (24, 2, 0, 32, 222),
+    (12, 3, 0, 483, 521),
 ])
 def test_integrator_work_on_large_unions_is_pinned(
         count, dims, polytopes, slices, intersections):

@@ -10,15 +10,13 @@ from repro.geometry import (
     formula_to_cells,
     formula_volume,
     formula_volume_unit_cube,
-    integrate_upoly,
-    lagrange_interpolate,
     polytope_volume,
     union_volume,
 )
-from repro.realalg import UPoly
+from repro.geometry.volume import _slab_weights
 from repro._errors import GeometryError, UnboundedSetError
 
-x, y, z, w = variables("x y z w")
+x, y, z, w, v = variables("x y z w v")
 
 
 def cell(formula, names):
@@ -26,19 +24,15 @@ def cell(formula, names):
     return only
 
 
-class TestInterpolation:
-    def test_lagrange_line(self):
-        p = lagrange_interpolate([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(3))])
-        assert p(Fraction(1, 2)) == 2
-
-    def test_lagrange_quadratic(self):
-        pts = [(Fraction(t), Fraction(t * t)) for t in (0, 1, 2)]
-        p = lagrange_interpolate(pts)
-        assert p(Fraction(5)) == 25
-
-    def test_integration(self):
-        p = UPoly([0, 0, 3])  # 3x^2
-        assert integrate_upoly(p, Fraction(0), Fraction(2)) == 8
+class TestSlabWeights:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_exact_for_every_degree_below_d(self, d):
+        # The d weights integrate t^j over [0, 1] exactly for each j < d.
+        weights = _slab_weights(d)
+        assert len(weights) == d
+        for j in range(d):
+            nodes = (Fraction(k, d + 1) ** j for k in range(1, d + 1))
+            assert sum(w * t for w, t in zip(weights, nodes)) == Fraction(1, j + 1)
 
 
 class TestPolytopeVolume:
@@ -64,6 +58,14 @@ class TestPolytopeVolume:
             ("x", "y", "z", "w"),
         )
         assert polytope_volume(simplex) == Fraction(1, 24)
+
+    def test_5d_simplex(self):
+        simplex = cell(
+            (x >= 0) & (y >= 0) & (z >= 0) & (w >= 0) & (v >= 0)
+            & (x + y + z + w + v <= 1),
+            ("x", "y", "z", "w", "v"),
+        )
+        assert polytope_volume(simplex) == Fraction(1, 120)
 
     def test_scaled_cube(self):
         box = cell(
@@ -135,6 +137,25 @@ class TestUnionVolume:
         b = cell(between(1, x, 3), ("x",))
         c = cell(between(2, x, 4), ("x",))
         assert union_volume([a, b, c]) == 4
+
+    @pytest.mark.parametrize("d,expected", [
+        (4, Fraction(31, 256)),
+        (5, Fraction(63, 1024)),
+    ])
+    def test_overlapping_half_boxes_in_high_dimension(self, d, expected):
+        # [0, 1/2]^d and [1/4, 3/4]^d overlap in [1/4, 1/2]^d.
+        coords = (x, y, z, w, v)[:d]
+        names = ("x", "y", "z", "w", "v")[:d]
+
+        def box(low, high):
+            formula = between(low, coords[0], high)
+            for c in coords[1:]:
+                formula = formula & between(low, c, high)
+            return cell(formula, names)
+
+        low = box(0, Fraction(1, 2))
+        high = box(Fraction(1, 4), Fraction(3, 4))
+        assert union_volume([low, high]) == expected
 
     def test_variable_mismatch_rejected(self):
         a = cell(between(0, x, 1), ("x",))

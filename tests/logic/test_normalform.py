@@ -117,11 +117,6 @@ class TestDNF:
         with pytest.raises(NotQuantifierFree):
             qf_to_dnf(Exists("x", x < 1))
 
-    def test_max_conjuncts_guard(self):
-        f = ((x < 1) | (x > 2)) & ((y < 1) | (y > 2)) & ((z < 1) | (z > 2))
-        with pytest.raises(ValueError):
-            qf_to_dnf(f, max_conjuncts=4)
-
     def test_dnf_preserves_semantics(self):
 
         f = ~((x < y) | ((y < z) & ~(x < z)))

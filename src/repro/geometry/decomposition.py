@@ -14,8 +14,8 @@ from typing import Sequence
 
 from ..logic.formulas import Formula
 from ..logic.metrics import max_degree
-from ..logic.normalform import is_quantifier_free, qf_to_dnf
-from ..qe.fourier_motzkin import conjunct_to_constraints, qe_linear
+from ..logic.normalform import is_quantifier_free
+from ..qe.fourier_motzkin import formula_rows, qe_linear
 from .. import guard, obs
 from .._errors import GeometryError, QEError
 from .polyhedron import Polyhedron
@@ -51,12 +51,11 @@ def formula_to_cells(
                 raise QEError("quantified nonlinear formulas are not semi-linear")
             formula = qe_linear(formula)
         cells: list[Polyhedron] = []
-        for conjunct in qf_to_dnf(formula):
-            for constraints in conjunct_to_constraints(conjunct):
-                guard.checkpoint()
-                cell = Polyhedron.make(variables, constraints)
-                if not cell.is_empty():
-                    cells.append(cell)
+        for constraints in formula_rows(formula):
+            guard.checkpoint()
+            cell = Polyhedron.make(variables, constraints)
+            if not cell.is_empty():
+                cells.append(cell)
         obs.add("volume.cells", len(cells))
         guard.charge("cells", len(cells))
         return cells

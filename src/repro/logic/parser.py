@@ -276,17 +276,22 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse *text* into a :class:`~repro.logic.formulas.Formula`."""
-    parser = _Parser(text)
-    result = parser.formula()
-    if parser.peek()[0] != "eof":
-        raise ParseError(f"trailing input: {parser.peek()[1]!r}")
-    return result
+    return _parse_all(text, _Parser.formula)
 
 
 def parse_term(text: str) -> Term:
     """Parse *text* into a :class:`~repro.logic.terms.Term`."""
+    return _parse_all(text, _Parser.term)
+
+
+def _parse_all(text: str, rule):
+    """Run the parser *rule* over all of *text*; input nested deeper than
+    the interpreter's recursion limit is a :class:`ParseError`."""
     parser = _Parser(text)
-    result = parser.term()
+    try:
+        result = rule(parser)
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     if parser.peek()[0] != "eof":
         raise ParseError(f"trailing input: {parser.peek()[1]!r}")
     return result

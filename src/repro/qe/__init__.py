@@ -12,10 +12,10 @@
 
 from .linear import LinConstraint, compare_to_constraints, linear_parts
 from .fourier_motzkin import (
-    conjunct_to_constraints,
     constraints_to_formula,
     decide_linear,
     eliminate_variable,
+    formula_rows,
     is_feasible,
     qe_linear,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "qe_linear",
     "decide_linear",
     "eliminate_variable",
-    "conjunct_to_constraints",
+    "formula_rows",
     "constraints_to_formula",
     "is_feasible",
     "check_dense_order",

@@ -2,20 +2,22 @@
 
 This gives the closure property of linear constraint databases used
 throughout the paper: applying an FO + LIN query to a semi-linear set
-yields another semi-linear set.  The eliminator works on disjunctive
-normal form; each conjunction of linear constraints has one variable
-eliminated by combining lower and upper bounds (or by substituting an
-equality).  ``Forall`` is handled by dualisation.
+yields another semi-linear set.  The eliminator reads the prenex matrix
+into DNF constraint rows once (:func:`formula_rows`), eliminates each
+variable from every conjunction by combining lower and upper bounds (or
+by substituting an equality), and prints the result once.  ``Forall`` is
+dualised lazily: the rows carry a polarity bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 from ..logic.formulas import (
     Compare,
-    Exists,
     ExistsAdom,
+    Forall,
     ForallAdom,
     Formula,
     conjunction,
@@ -30,40 +32,39 @@ __all__ = [
     "eliminate_variable",
     "qe_linear",
     "decide_linear",
-    "conjunct_to_constraints",
+    "formula_rows",
     "constraints_to_formula",
     "is_feasible",
 ]
 
 
-def conjunct_to_constraints(literals: Iterable[Formula]) -> list[list[LinConstraint]]:
-    """Normalise a conjunction of comparison literals into constraint lists.
+def formula_rows(formula: Formula) -> list[list[LinConstraint]]:
+    """The constraint rows of a quantifier-free linear formula's DNF.
 
-    ``!=`` atoms are split, so the result is a *list of alternative
-    conjunctions* (a small DNF) whose disjunction is equivalent to the input
-    conjunction.  Relation atoms are rejected — substitute database
+    One row list per conjunct of :func:`qf_to_dnf`, in its order, split
+    once more per ``<``/``>`` choice for each ``!=`` atom; ``[]`` is FALSE
+    and ``[[]]`` TRUE.  Relation atoms are rejected — substitute database
     definitions first.
     """
-    alternatives: list[list[LinConstraint]] = [[]]
-    for literal in literals:
-        if not isinstance(literal, Compare):
-            raise QEError(
-                f"non-comparison literal in linear QE: {literal} "
-                "(substitute relation definitions before eliminating)"
-            )
-        if literal.op == "!=":
-            branches = compare_to_constraints(
-                Compare("<", literal.lhs, literal.rhs)
-            ) + compare_to_constraints(Compare(">", literal.lhs, literal.rhs))
-            alternatives = [
-                existing + [branch]
-                for existing in alternatives
-                for branch in branches
+    dnf: list[list[LinConstraint]] = []
+    for conjunct in qf_to_dnf(formula):
+        alternatives: list[list[LinConstraint]] = [[]]
+        for literal in conjunct:
+            if not isinstance(literal, Compare):
+                raise QEError(
+                    f"non-comparison literal in linear QE: {literal} "
+                    "(substitute relation definitions before eliminating)"
+                )
+            sides = [literal] if literal.op != "!=" else [
+                Compare("<", literal.lhs, literal.rhs),
+                Compare(">", literal.lhs, literal.rhs),
             ]
-        else:
-            extra = compare_to_constraints(literal)
-            alternatives = [existing + extra for existing in alternatives]
-    return alternatives
+            branches = [compare_to_constraints(side) for side in sides]
+            alternatives = [
+                existing + branch for existing in alternatives for branch in branches
+            ]
+        dnf.extend(alternatives)
+    return dnf
 
 
 def eliminate_variable(
@@ -169,22 +170,33 @@ def constraints_to_formula(constraints: Sequence[LinConstraint]) -> Formula:
     return conjunction(*(c.to_formula() for c in constraints))
 
 
-def _eliminate_exists(var: str, matrix: Formula, prune: bool) -> Formula:
-    """Quantifier-free equivalent of ``exists var . matrix`` (matrix QF)."""
-    disjuncts: list[Formula] = []
+def _negate(dnf: list[list[LinConstraint]]) -> list[list[LinConstraint]]:
+    """Rows of the negation of *dnf*: what :func:`formula_rows` reads off
+    the NNF negation of the printed *dnf*, in the same order."""
+    result: list[list[LinConstraint]] = []
+    for pick in itertools.product(*dnf):
+        guard.checkpoint()
+        negations = (row.negated_formulas() for row in pick)
+        result.extend(list(rows) for rows in itertools.product(*negations))
+    guard.check_size(len(result))
+    return result
+
+
+def _eliminate_exists(var: str, dnf: list[list[LinConstraint]], prune: bool):
+    """Rows of ``exists var . dnf``; ``[[]]`` once a conjunct is TRUE."""
+    result: list[list[LinConstraint]] = []
     with obs.span("qe.fm.eliminate", var=var):
-        for conjunct in qf_to_dnf(matrix):
-            for constraints in conjunct_to_constraints(conjunct):
-                obs.add("fm.disjuncts")
-                guard.checkpoint()
-                result = eliminate_variable(var, constraints)
-                if result is None:
-                    continue
-                if prune and not is_feasible(result):
-                    obs.add("fm.disjuncts_pruned")
-                    continue
-                disjuncts.append(constraints_to_formula(result))
-    return disjunction(*disjuncts)
+        for constraints in dnf:
+            obs.add("fm.disjuncts")
+            guard.checkpoint()
+            rows = eliminate_variable(var, constraints)
+            if rows is None:
+                continue
+            if prune and not is_feasible(rows):
+                obs.add("fm.disjuncts_pruned")
+                continue
+            result.append(rows)
+    return [[]] if [] in result else result
 
 
 def qe_linear(formula: Formula, prune: bool = True) -> Formula:
@@ -208,14 +220,20 @@ def qe_linear(formula: Formula, prune: bool = True) -> Formula:
         if kind in (ExistsAdom, ForallAdom):
             raise QEError("active-domain quantifiers have no meaning over R; "
                           "evaluate them against a finite instance instead")
-    matrix = prenex.matrix
     with obs.span("qe.fm.qe_linear", quantifiers=len(prenex.prefix)):
+        if not prenex.prefix:
+            return prenex.matrix
+        # ``dnf`` holds the rows of the matrix, or of its negation when
+        # ``negated`` is set: FORALL eliminates EXISTS on the negation.
+        negated = prenex.prefix[-1][0] is Forall
+        dnf = formula_rows(to_nnf(~prenex.matrix) if negated else prenex.matrix)
         for kind, var in reversed(prenex.prefix):
-            if kind is Exists:
-                matrix = _eliminate_exists(var, matrix, prune)
-            else:  # Forall
-                matrix = to_nnf(~_eliminate_exists(var, to_nnf(~matrix), prune))
-    return matrix
+            if negated != (kind is Forall):
+                dnf = _negate(dnf)
+            dnf = _eliminate_exists(var, dnf, prune)
+            negated = kind is Forall
+        result = disjunction(*(constraints_to_formula(rows) for rows in dnf))
+        return to_nnf(~result) if negated else result
 
 
 def decide_linear(sentence: Formula) -> bool:
@@ -224,14 +242,12 @@ def decide_linear(sentence: Formula) -> bool:
         raise QEError(
             f"sentence has free variables {sorted(sentence.free_variables())}"
         )
-    matrix = qe_linear(sentence)
     # A closed quantifier-free formula: every atom is a constant comparison.
-    for conjunct in qf_to_dnf(matrix):
-        for constraints in conjunct_to_constraints(conjunct):
-            cleaned = _clean(constraints)
-            if cleaned == []:
-                return True
-            # Non-constant constraints cannot appear in a closed formula.
-            if cleaned:
-                raise QEError("internal error: free variables after QE")
+    for constraints in formula_rows(qe_linear(sentence)):
+        cleaned = _clean(constraints)
+        if cleaned == []:
+            return True
+        # Non-constant constraints cannot appear in a closed formula.
+        if cleaned:
+            raise QEError("internal error: free variables after QE")
     return False

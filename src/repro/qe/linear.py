@@ -2,9 +2,10 @@
 
 A :class:`LinConstraint` is ``sum_i coeff_i * x_i + constant OP 0`` with
 ``OP`` one of ``<``, ``<=``, ``=``.  Comparison atoms of FO + LIN formulas
-are normalised to this form (``>``/``>=`` are flipped, ``!=`` must be split
-into a disjunction by the caller).  These constraints are shared between
-the Fourier-Motzkin eliminator and the polyhedral geometry code.
+are normalised to this form (``>``/``>=`` are flipped, ``!=`` is split into
+a disjunction by :func:`repro.qe.fourier_motzkin.formula_rows`, the one
+reader from formulas to rows).  These constraints are shared between the
+Fourier-Motzkin eliminator and the polyhedral geometry code.
 
 Row invariant: :meth:`LinConstraint.make` is the only place that decides
 a row's scale.  The variable coefficients are ``int`` with gcd 1; the
@@ -180,10 +181,9 @@ def compare_to_constraints(atom: Compare) -> list[LinConstraint]:
     equivalent to the atom.
 
     ``<, <=, =`` produce a single constraint; ``>=, >`` are flipped;
-    ``!=`` raises (the caller must split it into a disjunction first, e.g.
-    via :func:`repro.logic.normalform.to_nnf` followed by explicit
-    handling, or by using
-    :func:`repro.qe.fourier_motzkin.conjunct_to_constraints`).
+    ``!=`` raises: read whole formulas with
+    :func:`repro.qe.fourier_motzkin.formula_rows`, which splits it into
+    ``<`` OR ``>``.
     """
     if atom.op == "!=":
         raise ValueError("'!=' atoms must be split into < OR > before normalising")

@@ -1,8 +1,13 @@
 """The ``python -m repro`` command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import repro
 from repro.__main__ import main
 from repro.obs import SCHEMA, read_jsonl
 
@@ -182,6 +187,27 @@ class TestCLIGovernance:
         code, _, err = run_cli_raw("volume", "x <<< y")
         assert code == 2
         assert err == "repro: error: expected a term, got '<'\n"
+
+    def test_deeply_nested_formula_exits_2(self):
+        nested = "(" * 200 + "0 <= x AND x <= 1" + ")" * 200
+        code, _, err = run_cli_raw("volume", "--fallback", "off", nested)
+        assert code == 2
+        assert err == "repro: error: formula nested too deeply\n"
+
+    def test_nesting_below_the_limit_still_answers(self):
+        """A fresh ``python -m repro`` (the CLI's own stack depth) still
+        answers 150 nested parentheses and 950 NOTs."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for formula in ("(" * 150 + "0 <= x AND x <= 1" + ")" * 150,
+                        "NOT " * 950 + "(0 <= x AND x <= 1)"):
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "volume", "--fallback", "off",
+                 formula],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.endswith(" = 1 = 1.0\n")
 
     def test_demo_under_exhausted_budget_exits_3(self):
         code, _, err = run_cli_raw("demo", "--timeout", "0")

@@ -110,6 +110,17 @@ class TestFormulaParsing:
         with pytest.raises(ParseError):
             parse("AND x < 1")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        """Input nested past the recursion limit fails with a ParseError,
+        not a RecursionError (the CLI's own depths are in test_cli)."""
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 200 + "x < 1" + ")" * 200)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("NOT " * 1100 + "x < 1")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_term("(" * 1000 + "x" + ")" * 1000)
+        assert parse("(" * 150 + "x < 1" + ")" * 150) == (x < 1)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

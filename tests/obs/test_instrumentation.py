@@ -9,9 +9,12 @@ explanation of the algorithmic change.
 
 from fractions import Fraction
 
+import pytest
+
 from repro import obs
 from repro.core import SumEvaluator, endpoints_range
 from repro.db import FiniteInstance, Schema
+from repro.engine import prepare
 from repro.logic import Relation, Var, exists, variables
 from repro.qe import qe_linear
 from repro.qe.cad import decide
@@ -68,6 +71,43 @@ class TestFourierMotzkinPins:
         assert counts["fm.eliminations"] == 2
         assert counts["fm.constraints_pruned"] == 2
         assert counts["fm.disjuncts"] == 1
+
+
+class TestForallShapePins:
+    """FORALL compiles: the answer cannot see a change in the DNF shape
+    that dualisation hands to each block, these counts can."""
+
+    @pytest.mark.parametrize("query, volume, cells, fm_counts", [
+        (
+            "FORALL u . (u < 0 OR u > 1 OR x + u <= 1 + y) AND EXISTS v . "
+            "FORALL w . (w < 0 OR w > y OR (x <= v AND v + w <= 1))",
+            Fraction(1, 4), 4,
+            {"fm.eliminations": 36, "fm.disjuncts": 10,
+             "fm.constraints_pruned": 2},
+        ),
+        (
+            "FORALL u . FORALL w . "
+            "(u < 0 OR u > x OR w < 0 OR w > y OR u + w <= 1)",
+            Fraction(1, 2), 3,
+            {"fm.eliminations": 10, "fm.disjuncts": 2},
+        ),
+        (
+            "EXISTS u . FORALL v . "
+            "((v < 0 OR v > 1) OR (x + v <= u + 1 AND u <= y AND 0 <= u))",
+            Fraction(1, 2), 1,
+            {"fm.eliminations": 11, "fm.disjuncts": 4,
+             "fm.constraints_pruned": 3},
+        ),
+    ])
+    def test_forall_compile_counts(self, query, volume, cells, fm_counts):
+        obs.enable_counting()
+        obs.reset()
+        plan = prepare(query, cache=None)
+        counts = obs.REGISTRY.as_dict()
+        assert {k: v for k, v in counts.items() if k.startswith("fm.")} == fm_counts
+        assert counts["volume.cells"] == cells
+        assert plan.cell_count() == cells
+        assert plan.volume() == volume
 
 
 class TestEvaluatorCounts:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import Compare, Const, Exists, Forall, Var, evaluate, qf_to_dnf
-from repro.qe import qe_linear, solve_univariate
-from repro.qe.fourier_motzkin import conjunct_to_constraints, is_feasible
+from repro.logic import (
+    Compare, Const, Exists, Forall, Var, conjunction, evaluate, qf_to_dnf,
+)
+from repro.qe import decide_linear, qe_linear, solve_univariate
+from repro.qe.cad import decide
+from repro.qe.fourier_motzkin import formula_rows, is_feasible
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
@@ -92,10 +95,25 @@ def test_solve_univariate_matches_pointwise(formula):
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    qf_linear_formulas(),
+    st.permutations(VARS),
+    st.lists(st.sampled_from([Exists, Forall]), min_size=3, max_size=3),
+)
+def test_alternating_blocks_agree_with_cad(matrix, order, kinds):
+    """x, y and z bound by three random EXISTS/FORALL blocks: Fourier-Motzkin
+    (FORALL by dualisation) decides the sentence as CAD does."""
+    sentence = matrix
+    for kind, name in zip(kinds, order):
+        sentence = kind(name, sentence)
+    assert decide_linear(sentence) == decide(sentence), sentence
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(linear_atoms(("x", "y")), min_size=1, max_size=4))
 def test_feasibility_agrees_with_witness_search(atoms):
-    alternatives = conjunct_to_constraints(atoms)
+    alternatives = formula_rows(conjunction(*atoms))
     feasible = any(is_feasible(alt) for alt in alternatives)
     witnessed = any(
         all(evaluate(a, {"x": px, "y": py}) for a in atoms)

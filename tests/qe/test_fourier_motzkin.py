@@ -5,12 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import Relation, evaluate, exists, exists_adom, forall, variables
+from repro.logic import (
+    Relation,
+    conjunction,
+    evaluate,
+    exists,
+    exists_adom,
+    forall,
+    variables,
+)
 from repro.qe import (
     LinConstraint,
-    conjunct_to_constraints,
     decide_linear,
     eliminate_variable,
+    formula_rows,
     is_feasible,
     qe_linear,
 )
@@ -34,14 +42,14 @@ def equivalent_on_grid(f, g, names, grid=None):
 
 class TestEliminateVariable:
     def test_transitivity(self):
-        (constraints,) = conjunct_to_constraints([x < y, y < z])
+        (constraints,) = formula_rows(conjunction(x < y, y < z))
         result = eliminate_variable("y", constraints)
         assert result is not None
         assert len(result) == 1
         assert result[0].op == "<"
 
     def test_equality_substitution(self):
-        (constraints,) = conjunct_to_constraints([y.eq(x + 1), y < 3])
+        (constraints,) = formula_rows(conjunction(y.eq(x + 1), y < 3))
         result = eliminate_variable("y", constraints)
         assert result is not None
         # x + 1 < 3  i.e.  x < 2
@@ -49,19 +57,19 @@ class TestEliminateVariable:
         assert result[0].evaluate({"x": Fraction(2)}) is False
 
     def test_no_bounds_is_vacuous(self):
-        (constraints,) = conjunct_to_constraints([y > x])  # only a lower bound
+        (constraints,) = formula_rows(conjunction(y > x))  # only a lower bound
         result = eliminate_variable("y", constraints)
         assert result == []
 
     def test_infeasible_detected(self):
-        (constraints,) = conjunct_to_constraints([y < x, y > x])
+        (constraints,) = formula_rows(conjunction(y < x, y > x))
         result = eliminate_variable("y", constraints)
         # Combining the bounds gives x - x < 0, a constant-false
         # constraint, so the whole conjunct is reported infeasible.
         assert result is None
 
     def test_strictness_propagates(self):
-        (constraints,) = conjunct_to_constraints([x <= y, y <= z])
+        (constraints,) = formula_rows(conjunction(x <= y, y <= z))
         result = eliminate_variable("y", constraints)
         assert result[0].op == "<="
 
@@ -131,15 +139,15 @@ class TestDecide:
 
 class TestFeasibility:
     def test_feasible(self):
-        (constraints,) = conjunct_to_constraints([x > 0, x < 1, y > x])
+        (constraints,) = formula_rows(conjunction(x > 0, x < 1, y > x))
         assert is_feasible(constraints) is True
 
     def test_infeasible(self):
-        (constraints,) = conjunct_to_constraints([x > y, y > z, z > x])
+        (constraints,) = formula_rows(conjunction(x > y, y > z, z > x))
         assert is_feasible(constraints) is False
 
     def test_tight_equality_feasible(self):
-        (constraints,) = conjunct_to_constraints([x.eq(1), x >= 1, x <= 1])
+        (constraints,) = formula_rows(conjunction(x.eq(1), x >= 1, x <= 1))
         assert is_feasible(constraints) is True
 
     def test_empty_is_feasible(self):
@@ -148,15 +156,15 @@ class TestFeasibility:
     def test_scaled_equality_elimination(self):
         # 2x - 4y = 2 fixes y = (x - 1)/2, a pivot coefficient of -2 on y:
         # x + y < 0 becomes 3x - 1 < 0 and y >= -1 becomes x >= -1.
-        (constraints,) = conjunct_to_constraints(
-            [(2 * x - 4 * y).eq(2), x + y < 0, y >= -1]
+        (constraints,) = formula_rows(
+            conjunction((2 * x - 4 * y).eq(2), x + y < 0, y >= -1)
         )
         assert eliminate_variable("y", constraints) == [
             LinConstraint.make({"x": -1}, -1, "<="),
             LinConstraint.make({"x": 3}, -1, "<"),
         ]
         assert is_feasible(constraints) is True
-        assert is_feasible(constraints + conjunct_to_constraints([y >= 0])[0]) is False
+        assert is_feasible(constraints + formula_rows(conjunction(y >= 0))[0]) is False
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

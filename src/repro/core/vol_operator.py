@@ -116,10 +116,6 @@ def evaluate_vol(
         if rng is None:
             raise ApproximationError("supply an rng for randomised strategies")
         if not is_quantifier_free(expanded):
-            if max_degree(expanded) > 1:
-                raise EvaluationError(
-                    "quantified polynomial bodies are not supported"
-                )
             expanded = qe_linear(expanded)
         return hoeffding_volume(
             expanded, term.point_vars, epsilon, delta, rng

@@ -32,8 +32,6 @@ from ..geometry.polyhedron import Polyhedron
 from ..geometry.volume import union_volume
 from ..guard.budget import Budget
 from ..logic.formulas import Formula
-from ..logic.metrics import max_degree
-from ..logic.normalform import is_quantifier_free
 from ..logic.parser import parse
 from ..logic.printer import formula_to_str
 from ..qe.linear import LinConstraint
@@ -84,8 +82,8 @@ class PreparedQuery:
     """A compiled query plan; immutable apart from its evaluation memo."""
 
     __slots__ = (
-        "kind", "key", "formula", "text", "variables", "cells", "qf",
-        "decision", "provenance", "_volumes", "_lock",
+        "kind", "key", "text", "variables", "cells", "decision",
+        "provenance", "_volumes", "_lock",
     )
 
     def __init__(
@@ -93,21 +91,17 @@ class PreparedQuery:
         *,
         kind: str,
         key: str,
-        formula: Formula,
         text: str,
         variables: tuple[str, ...],
         cells: tuple[Polyhedron, ...] | None,
-        qf: Formula | None,
         decision: bool | None,
         provenance: PlanProvenance,
     ):
         self.kind = kind
         self.key = key
-        self.formula = formula
         self.text = text
         self.variables = variables
         self.cells = cells
-        self.qf = qf
         self.decision = decision
         self.provenance = provenance
         self._volumes: dict[Any, Fraction] = {}
@@ -198,7 +192,6 @@ class PreparedQuery:
             "key": self.key,
             "text": self.text,
             "variables": list(self.variables),
-            "qf": None if self.qf is None else formula_to_str(self.qf),
             "cells": None if self.cells is None else [
                 [
                     {
@@ -218,8 +211,9 @@ class PreparedQuery:
     def from_record(record: Mapping[str, Any]) -> "PreparedQuery":
         """Rebuild a plan from :meth:`to_record` output (the store's read path).
 
-        Unknown fields are ignored, such as the ``witness`` field older
-        writers put in ``repro.engine.plan/v1`` records.
+        Unknown fields are ignored, such as the ``witness`` and ``qf``
+        fields older writers put in ``repro.engine.plan/v1`` records; no
+        formula is parsed.
         """
         if record.get("schema") != PLAN_SCHEMA:
             raise ReproError(
@@ -249,11 +243,9 @@ class PreparedQuery:
         return PreparedQuery(
             kind=record["kind"],
             key=record["key"],
-            formula=parse(record["text"]),
             text=record["text"],
             variables=variables,
             cells=cells,
-            qf=None if record.get("qf") is None else parse(record["qf"]),
             decision=record.get("decision"),
             provenance=provenance,
         )
@@ -370,7 +362,6 @@ def _compile(
     prune: bool,
 ) -> PreparedQuery:
     cells: tuple[Polyhedron, ...] | None = None
-    qf: Formula | None = None
     decision: bool | None = None
 
     if kind == "decide":
@@ -385,17 +376,8 @@ def _compile(
         decision = cad_decide(canonical)
         clock.stage("cad", start)
     else:
-        qf = canonical
-        if not is_quantifier_free(qf):
-            if max_degree(qf) > 1:
-                raise QEError("quantified nonlinear formulas are not semi-linear")
-            from ..qe.fourier_motzkin import qe_linear
-
-            start = time.perf_counter()
-            qf = qe_linear(qf, prune=prune)
-            clock.stage("qe", start)
         start = time.perf_counter()
-        cells = tuple(formula_to_cells(qf, variables))
+        cells = tuple(formula_to_cells(canonical, variables, prune=prune))
         clock.stage("decompose", start)
 
     provenance = PlanProvenance(
@@ -406,11 +388,9 @@ def _compile(
     return PreparedQuery(
         kind=kind,
         key=key,
-        formula=canonical,
         text=text,
         variables=variables,
         cells=cells,
-        qf=qf,
         decision=decision,
         provenance=provenance,
     )

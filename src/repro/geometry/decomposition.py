@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..logic.formulas import Formula
-from ..logic.metrics import max_degree
 from ..logic.normalform import is_quantifier_free
 from ..qe.fourier_motzkin import formula_rows, qe_linear
 from .. import guard, obs
@@ -30,26 +29,25 @@ __all__ = [
 
 
 def formula_to_cells(
-    formula: Formula, variables: Sequence[str]
+    formula: Formula, variables: Sequence[str], *, prune: bool = True
 ) -> list[Polyhedron]:
     """Decompose a linear formula into convex cells whose union it denotes.
 
-    Quantifiers are eliminated first (Fourier-Motzkin); ``!=`` atoms are
-    split.  Infeasible cells are dropped.
+    Quantifiers are eliminated first (Fourier-Motzkin; ``prune`` as in
+    :func:`~repro.qe.fourier_motzkin.qe_linear`); ``!=`` atoms are split.
+    Infeasible cells are dropped.
     """
     variables = tuple(variables)
-    free = formula.free_variables()
-    if not free <= set(variables):
-        raise GeometryError(
-            f"formula has free variables {sorted(free)} outside {variables}"
-        )
-    if formula.relation_names():
-        raise QEError("expand schema relations before decomposing")
     with obs.span("volume.decompose", variables=len(variables)):
         if not is_quantifier_free(formula):
-            if max_degree(formula) > 1:
-                raise QEError("quantified nonlinear formulas are not semi-linear")
-            formula = qe_linear(formula)
+            formula = qe_linear(formula, prune=prune)
+        free = formula.free_variables()
+        if not free <= set(variables):
+            raise GeometryError(
+                f"formula has free variables {sorted(free)} outside {variables}"
+            )
+        if formula.relation_names():
+            raise QEError("expand schema relations before decomposing")
         cells: list[Polyhedron] = []
         for constraints in formula_rows(formula):
             guard.checkpoint()

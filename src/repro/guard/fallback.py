@@ -17,8 +17,9 @@ tries, in order:
    of its own feasibility tests, the unpruned compile does not;
 3. **approximate** — Monte Carlo hit-or-miss sampling sized from
    ``(epsilon, delta)`` by the Hoeffding bound, with a reported confidence
-   radius.  It samples the quantifier-free matrix of a plan an exact rung
-   compiled, or else eliminates quantifiers itself (under the budget).
+   radius.  It samples the cells of a plan an exact rung compiled (the
+   set that rung was measuring), or else eliminates quantifiers itself
+   (under the budget).
 
 Every rung runs under the given :class:`~repro.guard.budget.Budget`
 (countable consumption is reset between rungs; the wall-clock deadline is
@@ -159,7 +160,14 @@ def _sample_volume(
     from ..geometry.sampling import hoeffding_volume
 
     if plan is not None:
-        formula, variables = plan.qf, plan.variables
+        # The cells an exact rung compiled: the set it was measuring.
+        from ..logic.formulas import disjunction
+        from ..qe.fourier_motzkin import constraints_to_formula
+
+        formula = disjunction(
+            *(constraints_to_formula(cell.constraints) for cell in plan.cells)
+        )
+        variables = plan.variables
     else:
         from ..logic.normalform import is_quantifier_free
         from ..logic.parser import parse

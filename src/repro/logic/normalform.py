@@ -9,6 +9,7 @@ literals.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .formulas import (
@@ -161,6 +162,7 @@ def _dnf(formula: Formula) -> list[list[Formula]]:
         return result
     if isinstance(formula, And):
         parts = [_dnf(a) for a in formula.args]
+        guard.check_size(math.prod(len(p) for p in parts))
         result = []
         for combo in itertools.product(*parts):
             guard.checkpoint()
@@ -168,6 +170,5 @@ def _dnf(formula: Formula) -> list[list[Formula]]:
             for chunk in combo:
                 conjunct.extend(chunk)
             result.append(conjunct)
-        guard.check_size(len(result))
         return result
     raise TypeError(f"unexpected node in quantifier-free NNF: {type(formula).__name__}")

@@ -12,6 +12,7 @@ dualised lazily: the rows carry a polarity bit.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 from ..logic.formulas import (
@@ -23,6 +24,7 @@ from ..logic.formulas import (
     conjunction,
     disjunction,
 )
+from ..logic.metrics import max_degree
 from ..logic.normalform import qf_to_dnf, to_nnf, to_prenex
 from .. import guard, obs
 from .._errors import QEError
@@ -172,13 +174,15 @@ def constraints_to_formula(constraints: Sequence[LinConstraint]) -> Formula:
 
 def _negate(dnf: list[list[LinConstraint]]) -> list[list[LinConstraint]]:
     """Rows of the negation of *dnf*: what :func:`formula_rows` reads off
-    the NNF negation of the printed *dnf*, in the same order."""
+    the NNF negation of the printed *dnf*, in the same order.
+
+    The result's size is checked before it is built."""
+    parts = [[row.negated_formulas() for row in conjunct] for conjunct in dnf]
+    guard.check_size(math.prod(sum(map(len, part)) for part in parts))
     result: list[list[LinConstraint]] = []
-    for pick in itertools.product(*dnf):
+    for pick in itertools.product(*parts):
         guard.checkpoint()
-        negations = (row.negated_formulas() for row in pick)
-        result.extend(list(rows) for rows in itertools.product(*negations))
-    guard.check_size(len(result))
+        result.extend(list(rows) for rows in itertools.product(*pick))
     return result
 
 
@@ -220,6 +224,8 @@ def qe_linear(formula: Formula, prune: bool = True) -> Formula:
         if kind in (ExistsAdom, ForallAdom):
             raise QEError("active-domain quantifiers have no meaning over R; "
                           "evaluate them against a finite instance instead")
+    if prenex.prefix and max_degree(prenex.matrix) > 1:
+        raise QEError("quantified nonlinear formulas are not semi-linear")
     with obs.span("qe.fm.qe_linear", quantifiers=len(prenex.prefix)):
         if not prenex.prefix:
             return prenex.matrix

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro._errors import EvaluationError, QEError, ReproError
+import repro.engine.prepared
+from repro._errors import EvaluationError, GeometryError, QEError, ReproError
+from repro.core.vol_operator import VolTerm, evaluate_vol
 from repro.engine import PlanCache, PreparedQuery, prepare
 from repro.geometry import formula_volume_unit_cube
 from repro.geometry.sampling import hit_or_miss_volume, hoeffding_sample_size
@@ -16,6 +18,16 @@ from repro.qe import qe_linear
 
 TRIANGLE = "0 <= y AND y <= x AND x <= 1"
 BAND = "EXISTS z . (y <= z AND z <= x AND 0 <= z AND z <= 1)"
+
+
+def _span_names(records):
+    for record in records:
+        yield record.name
+        yield from _span_names(record.children)
+
+
+def _no_parse(text):
+    raise AssertionError(f"parsed {text!r}")
 
 
 class TestVolume:
@@ -156,10 +168,16 @@ class TestDecide:
 
 class TestCompile:
     def test_quantified_queries_run_qe(self):
-        plan = prepare(BAND, cache=None)
+        trace = obs.enable("compile-test")
+        try:
+            plan = prepare(BAND, cache=None)
+            eliminations = obs.REGISTRY.value("fm.eliminations")
+        finally:
+            obs.disable()
         stage_names = [name for name, _ in plan.provenance.stages]
-        assert "qe" in stage_names
         assert "decompose" in stage_names
+        assert "qe.fm.qe_linear" in _span_names(trace.roots)
+        assert eliminations > 0
         assert plan.volume() == Fraction(1, 2)
 
     def test_provenance_records_stages(self):
@@ -169,9 +187,36 @@ class TestCompile:
         assert plan.provenance.source == "compiled"
         assert plan.provenance.compile_s >= 0.0
 
-    def test_quantified_nonlinear_rejected(self):
+    @pytest.mark.parametrize("entry", ["prepare", "approx-only", "montecarlo"])
+    def test_quantified_nonlinear_rejected(self, entry):
+        text = "EXISTS y . (y*y < x AND 0 <= y AND y <= 1)"
         with pytest.raises(QEError, match="not semi-linear"):
-            prepare("EXISTS y . (y*y < x)", cache=None)
+            if entry == "prepare":
+                prepare(text, cache=None)
+            elif entry == "approx-only":
+                robust_volume(text, ("x",), policy="approx-only")
+            else:
+                evaluate_vol(
+                    VolTerm(("x",), parse(text)), None, strategy="montecarlo",
+                    rng=np.random.default_rng(0),
+                )
+
+    @pytest.mark.parametrize("text, variables, error, message", [
+        ("EXISTS y . (R(x, y) AND 0 <= y)", ("x",), QEError,
+         "formula mentions schema relations"),
+        ("EXISTS y . (y < z AND z - 1 < y) AND 0 <= x AND x <= 1", ("x",),
+         None, None),
+        ("EXISTS y . (y <= x AND 0 <= y AND z <= 1)", ("x",), GeometryError,
+         r"free variables \['x', 'z'\] outside \('x',\)"),
+    ])
+    def test_compile_errors(self, text, variables, error, message):
+        """A relation atom fails in QE and a free variable outside
+        *variables* after it; a free variable QE eliminates does not fail."""
+        if error is None:
+            assert prepare(text, variables, cache=None).volume() == 1
+            return
+        with pytest.raises(error, match=message):
+            prepare(text, variables, cache=None)
 
     def test_compile_budget_is_enforced(self):
         with pytest.raises(BudgetExceeded):
@@ -244,10 +289,13 @@ class TestPersistence:
         with pytest.raises(ReproError, match="unknown schema"):
             PreparedQuery.from_record(record)
 
-    def test_v1_record_with_fractional_rows_decodes_normalized(self):
-        """Records written before rows were primitive integers still load."""
+    def test_v1_record_with_fractional_rows_decodes_normalized(self, monkeypatch):
+        """Records written before rows were primitive integers still load.
+
+        Their ``qf`` field is ignored; decoding parses no formula."""
         text = "0 <= y AND 2*y <= x AND x <= 1"
         fresh = prepare(text, cache=None)
+        assert "qf" not in fresh.to_record()
         record = {
             "schema": "repro.engine.plan/v1", "kind": "volume",
             "key": fresh.key, "text": fresh.text, "variables": ["x", "y"],
@@ -259,6 +307,7 @@ class TestPersistence:
             ]],
             "decision": None, "witness": None, "provenance": {},
         }
+        monkeypatch.setattr(repro.engine.prepared, "parse", _no_parse)
         plan = PreparedQuery.from_record(record)
         (cell,) = plan.cells
         assert [(c.coeffs, c.constant) for c in cell.constraints] == [

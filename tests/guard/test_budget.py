@@ -17,7 +17,7 @@ from repro.guard import (
     testing,
 )
 from repro.geometry import formula_volume_unit_cube
-from repro.logic import exists, variables
+from repro.logic import conjunction, exists, forall, qf_to_dnf, variables
 from repro.qe import qe_linear
 from repro.qe.cad import decide
 
@@ -132,6 +132,31 @@ class TestExhaustionPaths:
             with guard.activate(Budget(max_size=3)):
                 qe_linear(exists(z, (z <= x) & formula))
         assert info.value.consumed > 3
+
+    def test_size_trips_before_the_dnf_product_is_built(self):
+        # 16 two-way ORs make 65,536 conjuncts; the cap trips up front.
+        formula = conjunction(
+            *((x <= Fraction(i)) | (y <= Fraction(i)) for i in range(16))
+        )
+        with pytest.raises(SizeBudgetExceeded) as info:
+            with guard.activate(Budget(max_size=1000)):
+                qf_to_dnf(formula)
+        assert info.value.consumed == 2 ** 16
+        assert info.value.progress["checkpoints"] < 1000
+
+    def test_size_trips_before_the_negation_product_is_built(self):
+        # Under EXISTS w the FORALL z result is negated: 16 two-row
+        # conjuncts make 65,536 picks.
+        w = variables("w")[0]
+        matrix = conjunction(
+            *((x <= Fraction(i)) | (y <= w + Fraction(i)) for i in range(16)),
+            (z <= x) | (z >= x),
+        )
+        with pytest.raises(SizeBudgetExceeded) as info:
+            with guard.activate(Budget(max_size=1000)):
+                qe_linear(exists(w, forall(z, matrix)))
+        assert info.value.consumed == 2 ** 16
+        assert info.value.progress["checkpoints"] < 1000
 
     def test_depth_via_cad_recursion(self):
         with pytest.raises(DepthBudgetExceeded):

@@ -154,6 +154,47 @@ class TestDegradation:
         assert abs(result.value - 0.5) < 0.1
 
 
+class TestPlanBackedSampling:
+    """After both exact rungs compiled and then tripped, the Monte Carlo
+    rung samples the plan's cells: no second quantifier elimination."""
+
+    @pytest.mark.parametrize("query", [
+        "EXISTS z . (y <= z AND z <= x AND 0 <= z AND z <= 1)",
+        "0 <= x AND x <= 1 AND 0 <= y AND y <= 1 AND FORALL z . (z <= y OR z >= x)",
+        "0 <= x AND x <= 1 AND 0 <= y AND y <= 1/2 AND x != y",
+    ])
+    def test_samples_the_compiled_cells(self, query, monkeypatch):
+        from repro.engine import PreparedQuery
+        from repro.guard import fallback
+
+        def expired(self, box=None):
+            raise DeadlineExceeded("deadline budget exceeded")
+
+        sample = fallback._sample_volume
+        during = {}
+
+        def counted(*args, **kwargs):
+            before = obs.REGISTRY.value("fm.eliminations")
+            try:
+                return sample(*args, **kwargs)
+            finally:
+                during["eliminations"] = (
+                    obs.REGISTRY.value("fm.eliminations") - before
+                )
+
+        monkeypatch.setattr(PreparedQuery, "volume", expired)
+        monkeypatch.setattr(fallback, "_sample_volume", counted)
+        obs.enable_counting()
+        result = robust_volume(query, ("x", "y"), policy="auto", rng=rng())
+        assert result.mode == "approximate"
+        assert [(m, e.resource) for m, e in result.attempts] == [
+            ("exact", "deadline"), ("exact-coarse", "deadline"),
+        ]
+        assert result.plan is not None
+        assert abs(result.value - 0.5) < result.epsilon
+        assert during == {"eliminations": 0}
+
+
 class TestObsIntegration:
     def test_fallback_transitions_counted_and_span_annotated(self):
         trace = obs.enable("fallback-test")
